@@ -2,6 +2,7 @@ package cachemod
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,10 +18,12 @@ import (
 )
 
 // TestHostilePeerBlockSizeRejected: a global-cache peer that answers
-// PeerGet with anything but a whole block is buggy or hostile; installing
-// or slicing its bytes used to panic the node (oversize data panics
-// InstallFetched, short data the span copy). The read path must instead
-// drop the response, count it, and fall through to the iod fetch.
+// PeerGet with anything but one whole block per found flag is buggy or
+// hostile; installing or slicing its bytes would panic the node (oversize
+// data panics InstallFetched, short data the span copy) or poison the
+// cache. The read path must instead drop the whole answer, install
+// nothing from it, count it per block, and fall through to the iod
+// fetch.
 func TestHostilePeerBlockSizeRejected(t *testing.T) {
 	net := transport.NewMem()
 	reg := metrics.NewRegistry()
@@ -32,15 +35,20 @@ func TestHostilePeerBlockSizeRejected(t *testing.T) {
 	defer dl.Close()
 	go d.ServeData(dl)
 
-	// Peer 0 is a stub that always claims a hit with an oversize block.
+	// Peer 0 is a stub that always claims every block, each one twice the
+	// block size: a frame that decodes, but not as whole 4 KiB blocks.
 	pl, err := net.Listen("gc-hostile-peer")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pl.Close()
 	stub := rpc.NewServer(rpc.HandlerFunc(func(msg wire.Message) wire.Message {
-		if _, ok := msg.(*wire.PeerGet); ok {
-			return &wire.PeerGetResp{Status: wire.StatusOK, Data: make([]byte, 8192)}
+		if g, ok := msg.(*wire.PeerGet); ok {
+			found := make([]bool, len(g.Indexes))
+			for i := range found {
+				found[i] = true
+			}
+			return &wire.PeerGetResp{Status: wire.StatusOK, Found: found, Data: make([]byte, len(found)*8192)}
 		}
 		return nil
 	}), rpc.ServerConfig{})
@@ -86,11 +94,131 @@ func TestHostilePeerBlockSizeRejected(t *testing.T) {
 		t.Fatal("read did not fall through to the iod after the bad peer response")
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["module.gcache_bad_resp"] == 0 {
-		t.Fatal("bad peer response not counted")
+	if snap.Counters["module.gcache_bad_resp"] != 1 {
+		t.Fatalf("module.gcache_bad_resp = %d, want 1 (one block)", snap.Counters["module.gcache_bad_resp"])
+	}
+	// The block the cache now holds is the iod's, not the stub's zeros.
+	cached := make([]byte, 4096)
+	if !mod.Buffer().ReadSpan(key, 0, cached) || !bytes.Equal(cached, payload) {
+		t.Fatal("the malformed answer installed bytes")
 	}
 	if snap.Counters["module.gcache_hits"] != 0 {
 		t.Fatal("oversize peer response counted as a hit")
+	}
+}
+
+// TestGlobalCacheProbeOncePerRequest: a read's owned misses reach the
+// global cache as ONE vectored probe of their primary — not one round trip
+// per block — before the iod fetch, and only the blocks the peer did not
+// serve are fetched from the iod. Served blocks install like fetched ones:
+// a re-read is a pure cache hit that probes nothing.
+func TestGlobalCacheProbeOncePerRequest(t *testing.T) {
+	const bs, nblocks = 4096, 16
+	net := transport.NewMem()
+	reg := metrics.NewRegistry()
+	d := iod.New(0, bs, net, reg)
+	dl, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dl.Close()
+	go d.ServeData(dl)
+
+	// The stub peer holds every block it is asked for, stamped with its
+	// index, and records each probe.
+	var mu sync.Mutex
+	var probes [][]int64
+	pl, err := net.Listen("gc-stub-peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	stub := rpc.NewServer(rpc.HandlerFunc(func(msg wire.Message) wire.Message {
+		g, ok := msg.(*wire.PeerGet)
+		if !ok {
+			return &wire.PeerPutAck{Status: wire.StatusOK}
+		}
+		mu.Lock()
+		probes = append(probes, append([]int64(nil), g.Indexes...))
+		mu.Unlock()
+		resp := &wire.PeerGetResp{Status: wire.StatusOK, Found: make([]bool, len(g.Indexes))}
+		for i, idx := range g.Indexes {
+			resp.Found[i] = true
+			resp.Data = append(resp.Data, bytes.Repeat([]byte{byte(0x80 + idx)}, bs)...)
+		}
+		return resp
+	}), rpc.ServerConfig{})
+	go stub.Serve(pl)
+	defer stub.Close()
+
+	mod, err := New(Config{
+		Network:          net,
+		ClientID:         1,
+		IODDataAddrs:     []string{dl.Addr()},
+		Buffer:           buffer.Config{BlockSize: bs, Capacity: 64},
+		DisableCoherence: true,
+		GlobalCache: &globalcache.Options{
+			SelfID: 1,
+			Peers: []membership.Member{
+				{ID: 0, Addr: "gc-stub-peer"},
+				{ID: 1, Addr: "gc-self-node-2"},
+			},
+			Replicas: 1,
+		},
+		Registry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mod.Close()
+
+	// A file whose blocks are homed at both members.
+	ring := mod.GlobalCacheNode().Ring()
+	var file blockio.FileID
+	var atPeer map[int64]bool
+	for f := blockio.FileID(1); file == 0; f++ {
+		atPeer = make(map[int64]bool)
+		for i := int64(0); i < nblocks; i++ {
+			if ring.Primary(blockio.BlockKey{File: f, Index: i}) == 0 {
+				atPeer[i] = true
+			}
+		}
+		if len(atPeer) > 0 && len(atPeer) < nblocks {
+			file = f
+		}
+	}
+	iodBytes := bytes.Repeat([]byte{0x42}, nblocks*bs)
+	d.Store().WriteAt(file, 0, iodBytes)
+
+	tr := mod.NewTransport()
+	for round := 0; round < 2; round++ {
+		resp := sendRecv(t, tr, 0, &wire.Read{File: file, Offset: 0, Length: nblocks * bs}).(*wire.ReadResp)
+		for i := int64(0); i < nblocks; i++ {
+			want := byte(0x42)
+			if atPeer[i] {
+				want = byte(0x80 + i)
+			}
+			if got := resp.Data[i*bs]; got != want {
+				t.Fatalf("round %d block %d: byte %#x, want %#x", round, i, got, want)
+			}
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(probes) != 1 {
+		t.Fatalf("%d probe frames for one read and one re-read, want 1", len(probes))
+	}
+	if len(probes[0]) != len(atPeer) {
+		t.Fatalf("probe asked for %d blocks, want the %d homed at the peer", len(probes[0]), len(atPeer))
+	}
+	for _, idx := range probes[0] {
+		if !atPeer[idx] {
+			t.Fatalf("probe asked for block %d, homed at this node", idx)
+		}
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["module.gcache_hits"]; got != int64(len(atPeer)) {
+		t.Fatalf("module.gcache_hits = %d, want %d", got, len(atPeer))
 	}
 }
 

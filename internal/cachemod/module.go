@@ -354,6 +354,11 @@ type Module struct {
 	invalServer   *rpc.Server
 
 	gcNode *globalcache.Node // nil without the global cache
+	// gcHits and gcBadResp count, per block, global-cache probe answers
+	// installed and dropped as malformed (module.gcache_hits,
+	// module.gcache_bad_resp); resolved once so the per-block probe path
+	// never takes the registry lock.
+	gcHits, gcBadResp *metrics.Counter
 
 	// streams is the pipelined write-behind engine: one flush stream per
 	// iod (see flusher.go), gated by streamSem (capacity FlushStreams).
@@ -448,6 +453,8 @@ func New(cfg Config) (*Module, error) {
 			m.Close()
 			return nil, err
 		}
+		m.gcHits = cfg.Registry.Counter("module.gcache_hits")
+		m.gcBadResp = cfg.Registry.Counter("module.gcache_bad_resp")
 	}
 
 	if len(m.flush) > 0 {

@@ -322,7 +322,7 @@ func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int6
 	// One asynchronous request per iod, chunked so no request's extents
 	// can exceed what a response frame carries (large windows over large
 	// blocks would otherwise be rejected whole by the iod).
-	maxBlocks := maxFetchBlocks(bs)
+	maxBlocks := wire.MaxFrameBlocks(bs)
 	for iod, claims := range perIOD {
 		for start := 0; start < len(claims); start += maxBlocks {
 			end := start + maxBlocks

@@ -270,8 +270,8 @@ func (t *CachedTransport) Close() error {
 
 // classifySpan classifies one block span of a read: a cache hit copies
 // into dst now, an in-flight fetch (another process's miss or a prefetch)
-// becomes a join, a global-cache hit is installed immediately, and
-// everything else is an owned miss returned to the caller for fetching.
+// becomes a join, and everything else is an owned miss returned to the
+// caller — for the request's one global-cache probe, then fetching.
 // dst is the span's destination — a slice of the caller's buffer on the
 // sink path, of the response buffer otherwise.
 func (t *CachedTransport) classifySpan(iod int, sp blockio.Span, dst []byte, pr *pendingRead, owned []ownedSpan) []ownedSpan {
@@ -298,40 +298,57 @@ func (t *CachedTransport) classifySpan(iod int, sp blockio.Span, dst []byte, pr 
 	st.stamp = stamp
 	t.m.fetches[sp.Key] = st
 	t.m.fetchMu.Unlock()
-	// Global-cache extension: probe the block's home node before
-	// resorting to the iod. A read-around request skips the probe: its
-	// blocks must not be installed here, and a stream hammering the peer
-	// ring would displace exactly the shared blocks the ring exists for.
-	if t.m.gcNode != nil && pr.admit != admitNever {
-		bs := t.m.buf.BlockSize()
+	return append(owned, ownedSpan{sp: sp, dst: dst, st: st})
+}
+
+// probeGlobalCache is the global-cache extension's step between
+// classification and the iod fetch: one vectored probe of cluster memory
+// for every owned miss of the request (one round trip per primary, see
+// globalcache.Node.Get). Each hit installs, publishes to joiners and
+// fills its destination exactly as a fetched block does; the misses are
+// returned, in order, for issueFetches. A read-around request skips the
+// probe: its blocks must not be installed here, and a stream hammering
+// the peer ring would displace exactly the shared blocks the ring exists
+// for.
+func (t *CachedTransport) probeGlobalCache(iod int, owned []ownedSpan, pr *pendingRead) []ownedSpan {
+	if t.m.gcNode == nil || pr.admit == admitNever || len(owned) == 0 {
+		return owned
+	}
+	keys := make([]blockio.BlockKey, len(owned))
+	for i, o := range owned {
+		keys[i] = o.sp.Key
+	}
+	served := make([]bool, len(owned))
+	bad := t.m.gcNode.Get(keys, func(i int, block []byte) {
+		o := owned[i]
 		data, mem := t.m.getBlock()
-		// A healthy peer always serves a whole block; anything else is a
-		// buggy or hostile response whose bytes must not be installed or
-		// sliced (an oversize block would panic InstallFetched, a short
-		// one the span copy). Fall through to the iod fetch instead.
-		if n, ok := t.m.gcNode.Get(sp.Key, data); ok && n != bs {
-			t.m.cfg.Registry.Counter("module.gcache_bad_resp").Inc()
-		} else if ok {
-			// Resident bytes outrank the peer copy; a stale install (the
-			// block was written here since the probe began) falls through
-			// to the iod fetch, which revalidates against a fresh stamp.
-			if t.m.buf.InstallFetchedAdmit(sp.Key, iod, data, pr.admit == admitMust, st.stamp) != buffer.OutcomeStale {
-				st.finalStamp = st.stamp
-				copy(dst, data[sp.Off:sp.Off+sp.Len])
-				t.m.publishFetched(st, sp.Key, data, mem)
-				st.decref() // the owner's hold; joiners keep the block alive
-				if mem != nil {
-					mem.release() // the creator's hold
-				}
-				t.m.cfg.Registry.Counter("module.gcache_hits").Inc()
-				return owned
-			}
+		copy(data, block)
+		// Resident bytes outrank the peer copy; a stale install (the
+		// block was written here since the probe began) stays a miss and
+		// goes to the iod fetch, which revalidates against a fresh stamp.
+		if t.m.buf.InstallFetchedAdmit(o.sp.Key, iod, data, pr.admit == admitMust, o.st.stamp) != buffer.OutcomeStale {
+			o.st.finalStamp = o.st.stamp
+			copy(o.dst, data[o.sp.Off:o.sp.Off+o.sp.Len])
+			t.m.publishFetched(o.st, o.sp.Key, data, mem)
+			o.st.decref() // the owner's hold; joiners keep the block alive
+			served[i] = true
+			t.m.gcHits.Inc()
 		}
 		if mem != nil {
-			mem.release()
+			mem.release() // the creator's hold
+		}
+	})
+	// A malformed answer was dropped whole: its blocks install nothing
+	// and fall through to the iod fetch.
+	t.m.gcBadResp.Add(int64(bad))
+	misses := owned[:0]
+	for i, o := range owned {
+		if !served[i] {
+			misses = append(misses, o)
 		}
 	}
-	return append(owned, ownedSpan{sp: sp, dst: dst, st: st})
+	pr.trace.hop("global cache: %d of %d misses served by peers", len(owned)-len(misses), len(owned))
+	return misses
 }
 
 // issueFetches groups the owned miss spans into runs of consecutive block
@@ -365,7 +382,7 @@ func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []own
 	// so bound every run — and every vectored batch of runs — by what one
 	// response frame can carry, splitting into several round trips when
 	// necessary.
-	runs = splitRuns(runs, maxFetchBlocks(bs))
+	runs = splitRuns(runs, wire.MaxFrameBlocks(bs))
 
 	if t.m.cfg.DisableVector {
 		for i, run := range runs {
@@ -394,7 +411,7 @@ func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []own
 	for start := 0; start < len(runs); {
 		batch := runs[start : start+1]
 		blocks := len(runs[start].keys)
-		for end := start + 1; end < len(runs) && blocks+len(runs[end].keys) <= maxFetchBlocks(bs); end++ {
+		for end := start + 1; end < len(runs) && blocks+len(runs[end].keys) <= wire.MaxFrameBlocks(bs); end++ {
 			blocks += len(runs[end].keys)
 			batch = runs[start : end+1]
 		}
@@ -422,17 +439,6 @@ func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []own
 		start += len(batch)
 	}
 	return nil
-}
-
-// maxFetchBlocks is the most blocks one fetch (a run in legacy mode, a
-// batch of runs in vectored mode) may carry and still fit a response
-// frame (wire.ValidateExtents' bound), with one block of slack.
-func maxFetchBlocks(bs int) int {
-	n := wire.MaxMessageSize/2/bs - 1
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // splitRuns bounds every run at maxBlocks consecutive blocks, splitting
@@ -508,6 +514,7 @@ func (t *CachedTransport) sendRead(iod int, req *wire.Read, sink [][]byte) (*pen
 	}
 	rt.hop("classified: %d spans, %d hits, %d joins, %d misses",
 		len(spans), len(spans)-len(owned)-len(pr.waits), len(pr.waits), len(owned))
+	owned = t.probeGlobalCache(iod, owned, pr)
 	if err := t.issueFetches(iod, req.File, owned, pr); err != nil {
 		pr.releaseBudget()
 		rt.finish(fmt.Sprintf("issue error: %v", err))
@@ -586,6 +593,7 @@ func (t *CachedTransport) sendVectorRead(iod int, req *wire.ReadBlocks, sink [][
 		base += e.Length
 	}
 	rt.hop("classified: %d extents, %d joins, %d misses", len(req.Exts), len(pr.waits), len(owned))
+	owned = t.probeGlobalCache(iod, owned, pr)
 	if err := t.issueFetches(iod, req.File, owned, pr); err != nil {
 		pr.releaseBudget()
 		rt.finish(fmt.Sprintf("issue error: %v", err))

@@ -53,7 +53,7 @@ func TestGlobalCacheServesRemoteMisses(t *testing.T) {
 	}
 	// Let the asynchronous pushes settle: wait (best effort) until node
 	// 1's resident count is nonzero and has held still for a while — the
-	// pushes arrive one by one.
+	// pushes arrive in several coalesced frames.
 	last, stableSince := -1, time.Now()
 	waitfor.Poll(5*time.Second, func() bool {
 		cur := c.Module(1).Buffer().Stats().Resident

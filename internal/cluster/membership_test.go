@@ -177,8 +177,11 @@ func TestGlobalCacheJoinSpreadsLoad(t *testing.T) {
 	if _, err := f.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
+	// The primary installs a push frame's blocks before it acks, and the
+	// sender counts gcache.push_tx on the ack: wait for both.
 	waitfor.Poll(5*time.Second, func() bool {
-		return c.Module(newNode).Buffer().Stats().Resident > 0
+		return c.Module(newNode).Buffer().Stats().Resident > 0 &&
+			c.Reg.Snapshot().Diff(before)["gcache.push_tx"] > 0
 	})
 	if n := c.Module(newNode).Buffer().Stats().Resident; n == 0 {
 		t.Error("no pushed blocks landed on the joined node; load did not spread")

@@ -4,18 +4,21 @@
 //
 // Every block has a primary home node plus failover replicas, chosen by
 // consistent hashing over an epoch-versioned membership view
-// (internal/membership). When a node fetches a block from an iod it
-// pushes a copy to the block's primary (PeerPut); when a node misses
-// locally it asks the replica set in order (PeerGet) before going to the
-// iod. Cluster memory thus acts as a second cache level between the
-// per-node caches and the daemons.
+// (internal/membership). When a node fetches blocks from an iod it
+// pushes copies to their primaries, coalescing whatever is queued for one
+// primary into one PeerPut; when a request misses locally, the node asks
+// the replica sets for all its owned missing blocks at once — one
+// vectored PeerGet per primary, every one in flight before any is awaited
+// — before going to the iod. Cluster memory thus acts as a second cache
+// level between the per-node caches and the daemons.
 //
 // Robustness model:
 //
-//   - Reads walk the replica set: an error, timeout, or ejected peer
-//     moves the fetch to the next replica (membership.failovers counts
-//     each hop). A clean miss from a reachable peer ends the walk — the
-//     common-case miss must not pay replicas × latency.
+//   - Reads walk the replica set, per group of blocks sharing a replica:
+//     an error, timeout, or ejected peer moves the group's blocks to
+//     their next replicas (membership.failovers counts each block's hop).
+//     A clean miss from a reachable peer ends the walk — the common-case
+//     miss must not pay replicas × latency.
 //   - Every peer RPC is bounded by Options.FetchTimeout and every peer
 //     client runs the rpc health breaker, so a dead peer costs a bounded
 //     error and is then ejected until a background probe readmits it.
@@ -76,7 +79,8 @@ type Options struct {
 	VNodes   int
 	Replicas int
 
-	// FetchTimeout bounds each peer round trip; ProbeInterval and
+	// FetchTimeout bounds each peer round trip — one vectored probe of a
+	// primary group, or one coalesced push; ProbeInterval and
 	// FailThreshold configure the per-peer health breaker;
 	// RefreshInterval paces dynamic-mode view refreshes. Zero selects the
 	// package defaults.
@@ -115,7 +119,6 @@ type Node struct {
 	opts    Options
 	buf     *buffer.Manager
 	network transport.Network
-	reg     *metrics.Registry
 
 	l   transport.Listener
 	srv *rpc.Server
@@ -129,13 +132,55 @@ type Node struct {
 	mu    sync.Mutex
 	peers map[string]*rpc.Client // keyed by address; members shift indices across views
 
-	blockBufs rpc.BufPool
+	ctr counters
+
+	// Each pool holds one size class, so a small Get never pins a large
+	// buffer: served probe answers (request-sized), per-block push copies
+	// (block-sized, up to cap(pushCh) of them queued), and coalesced push
+	// frames (batch-sized, released after the ack).
+	respBufs  rpc.BufPool
 	pushBufs  rpc.BufPool
-	pushCh    chan wire.PeerPut
+	frameBufs rpc.BufPool
+	pushCh    chan pushItem
 	wg        sync.WaitGroup
 	stop      chan struct{}
 	once      sync.Once
 	killed    atomic.Bool
+}
+
+// counters are the node's metric handles, resolved once at Start so the
+// per-block paths never take the registry lock. Every gcache.* counter
+// counts blocks, not messages.
+type counters struct {
+	getHits, getMisses, pushTx, pushDropped *metrics.Counter
+	serveHits, serveMisses, putsRx          *metrics.Counter
+	staleEpochs, epochRefreshes, failovers  *metrics.Counter
+	ejections, readmissions, reprobes       *metrics.Counter
+}
+
+func newCounters(reg *metrics.Registry) counters {
+	return counters{
+		getHits:        reg.Counter("gcache.get_hits"),
+		getMisses:      reg.Counter("gcache.get_misses"),
+		pushTx:         reg.Counter("gcache.push_tx"),
+		pushDropped:    reg.Counter("gcache.push_dropped"),
+		serveHits:      reg.Counter("gcache.serve_hits"),
+		serveMisses:    reg.Counter("gcache.serve_misses"),
+		putsRx:         reg.Counter("gcache.puts_rx"),
+		staleEpochs:    reg.Counter("membership.stale_epochs"),
+		epochRefreshes: reg.Counter("membership.epoch_refreshes"),
+		failovers:      reg.Counter("membership.failovers"),
+		ejections:      reg.Counter("membership.ejections"),
+		readmissions:   reg.Counter("membership.readmissions"),
+		reprobes:       reg.Counter("membership.reprobes"),
+	}
+}
+
+// pushItem is one queued push: a pooled copy of a fetched block.
+type pushItem struct {
+	key   blockio.BlockKey
+	owner uint32
+	data  []byte
 }
 
 // Start brings up a node's global cache on l: serve the local buffer
@@ -155,11 +200,13 @@ func Start(opts Options, buf *buffer.Manager, l transport.Listener, network tran
 		opts:    opts,
 		buf:     buf,
 		network: network,
-		reg:     reg,
 		l:       l,
 		peers:   make(map[string]*rpc.Client),
-		pushCh:  make(chan wire.PeerPut, 256),
-		stop:    make(chan struct{}),
+		ctr:     newCounters(reg),
+		// 256 queued block copies bound what a slow primary can pin on
+		// this node (256 × the block size); past that, pushes drop.
+		pushCh: make(chan pushItem, 256),
+		stop:   make(chan struct{}),
 	}
 
 	var view membership.View
@@ -235,15 +282,24 @@ func (n *Node) handle(msg wire.Message) wire.Message {
 		if st := n.epochCheck(m.Epoch); st != wire.StatusOK {
 			return &wire.PeerGetResp{Status: st}
 		}
-		data := n.blockBufs.Get(n.buf.BlockSize())
-		key := blockio.BlockKey{File: m.File, Index: m.Index}
-		if n.buf.ReadSpan(key, 0, data) {
-			n.reg.Counter("gcache.serve_hits").Inc()
-			return &wire.PeerGetResp{Status: wire.StatusOK, Data: data}
+		bs := n.buf.BlockSize()
+		if len(m.Indexes) > wire.MaxFrameBlocks(bs) {
+			// The answer could not be framed; legitimate peers split
+			// their probes at this bound.
+			return &wire.PeerGetResp{Status: wire.StatusBadRequest}
 		}
-		n.blockBufs.Put(data)
-		n.reg.Counter("gcache.serve_misses").Inc()
-		return &wire.PeerGetResp{Status: wire.StatusNotFound}
+		data := n.respBufs.Get(len(m.Indexes) * bs)
+		found := make([]bool, len(m.Indexes))
+		packed := 0
+		for i, idx := range m.Indexes {
+			if n.buf.ReadSpan(blockio.BlockKey{File: m.File, Index: idx}, 0, data[packed:packed+bs]) {
+				found[i] = true
+				packed += bs
+			}
+		}
+		n.ctr.serveHits.Add(int64(packed / bs))
+		n.ctr.serveMisses.Add(int64(len(m.Indexes) - packed/bs))
+		return &wire.PeerGetResp{Status: wire.StatusOK, Found: found, Data: data[:packed]}
 	case *wire.PeerPut:
 		if st := n.epochCheck(m.Epoch); st != wire.StatusOK {
 			return &wire.PeerPutAck{Status: st}
@@ -252,13 +308,16 @@ func (n *Node) handle(msg wire.Message) wire.Message {
 		// push whole blocks; an oversize one would panic InsertClean, and
 		// a SHORT one would be zero-filled and marked whole-valid — this
 		// node would then serve those fabricated zero bytes to the whole
-		// cluster as the block's home. Reject anything but a whole block.
-		if len(m.Data) != n.buf.BlockSize() {
+		// cluster as the block's home. Reject anything but one whole
+		// block per entry, before installing any.
+		bs := n.buf.BlockSize()
+		if len(m.Data) != len(m.Entries)*bs {
 			return &wire.PeerPutAck{Status: wire.StatusBadRequest}
 		}
-		key := blockio.BlockKey{File: m.File, Index: m.Index}
-		n.buf.InsertClean(key, int(m.Owner), m.Data)
-		n.reg.Counter("gcache.puts_rx").Inc()
+		for i, e := range m.Entries {
+			n.buf.InsertClean(blockio.BlockKey{File: e.File, Index: e.Index}, int(e.Owner), m.Data[i*bs:(i+1)*bs])
+		}
+		n.ctr.putsRx.Add(int64(len(m.Entries)))
 		return &wire.PeerPutAck{Status: wire.StatusOK}
 	default:
 		return nil
@@ -273,18 +332,18 @@ func (n *Node) epochCheck(reqEpoch uint64) wire.Status {
 	if reqEpoch == 0 || ours == 0 || reqEpoch == ours {
 		return wire.StatusOK
 	}
-	n.reg.Counter("membership.stale_epochs").Inc()
+	n.ctr.staleEpochs.Inc()
 	if reqEpoch > ours {
 		n.asyncRefresh()
 	}
 	return wire.StatusStaleEpoch
 }
 
-// recycle returns a served block buffer to the pool after the response
-// has been written.
+// recycle returns a served probe answer's buffer to the pool after the
+// response has been written.
 func (n *Node) recycle(resp wire.Message) {
 	if gr, ok := resp.(*wire.PeerGetResp); ok {
-		n.blockBufs.Put(gr.Data)
+		n.respBufs.Put(gr.Data)
 	}
 }
 
@@ -324,7 +383,7 @@ func (n *Node) refreshView() bool {
 		return false
 	}
 	n.ring.Store(membership.NewRing(v, n.opts.VNodes, n.opts.Replicas))
-	n.reg.Counter("membership.epoch_refreshes").Inc()
+	n.ctr.epochRefreshes.Inc()
 	return true
 }
 
@@ -342,73 +401,162 @@ func (n *Node) asyncRefresh() {
 
 // --- client side ---
 
-// Get fetches a block from its replica set into dst and reports the
-// number of payload bytes returned along with whether the get hit. The
-// walk is primary-first: an error, timeout, or ejected peer fails over to
-// the next replica; a clean miss from a reachable peer (or this node
-// itself being the replica) ends the walk — the block is simply not in
-// cluster memory. A stale-epoch answer refreshes the view and retries the
-// walk once. A healthy peer always serves a whole block; the caller must
-// validate n against its block size before trusting dst. The peer's
-// response bytes are copied out of their leased frame before this
-// returns, so dst is caller-owned plain memory.
-func (n *Node) Get(key blockio.BlockKey, dst []byte) (int, bool) {
-	var setBuf [8]int
+// Get probes cluster memory for the owned missing blocks of one request
+// and calls hit(i, block) for every keys[i] a peer served. block is one
+// whole block aliasing the response frame: it is valid only during the
+// call, and the callee copies what it keeps. Calls arrive in no fixed
+// key order, on the caller's goroutine, before Get returns.
+//
+// The walk is primary-first, per group: the keys are grouped by the
+// replica their walk has reached and by file, and each group travels as
+// one PeerGet, every group of a round in flight before any is awaited.
+// An error, timeout or ejected peer fails the group's keys over to their
+// next replicas (the next round); a clean answer from a reachable peer
+// ends their walk, found or not; a key whose walk reaches this node
+// itself ends there too — our own cache already missed. A stale-epoch
+// answer refreshes the view and retries that group's keys once against
+// the new ring.
+//
+// Get returns the number of keys whose answer was malformed — not one
+// whole block per found flag — and so was dropped: a healthy peer never
+// sends one.
+func (n *Node) Get(keys []blockio.BlockKey, hit func(i int, block []byte)) (bad int) {
+	if len(keys) == 0 {
+		return 0
+	}
+	pending := make([]int, len(keys))
+	for i := range pending {
+		pending[i] = i
+	}
+	hits := 0
 	for attempt := 0; attempt < 2; attempt++ {
-		ring := n.ring.Load()
-		set := ring.ReplicaSet(key, setBuf[:0])
-		members := ring.Members()
-		stale := false
-		tried := 0
-		for _, mi := range set {
-			m := members[mi]
-			if m.ID == n.opts.SelfID {
-				// Our own cache already missed; the block is not here.
-				break
-			}
-			if tried > 0 {
-				n.reg.Counter("membership.failovers").Inc()
-			}
-			tried++
-			res, err := n.fetch(m.Addr, &wire.PeerGet{File: key.File, Index: key.Index, Epoch: ring.Epoch()})
-			if err != nil {
-				continue // next replica
-			}
-			gr, ok := res.Msg.(*wire.PeerGetResp)
-			if !ok {
-				res.Release()
-				continue
-			}
-			switch gr.Status {
-			case wire.StatusOK:
-				nb := len(gr.Data)
-				copy(dst, gr.Data)
-				res.Release()
-				n.reg.Counter("gcache.get_hits").Inc()
-				return nb, true
-			case wire.StatusStaleEpoch:
-				res.Release()
-				stale = true
-			default:
-				res.Release()
-			}
-			// A reachable peer answered without the block: stop walking.
+		h, b, stale := n.walk(n.ring.Load(), keys, pending, hit)
+		hits += h
+		bad += b
+		if len(stale) == 0 || !n.refreshView() {
 			break
 		}
-		if stale && n.refreshView() {
-			continue // one retry against the new ring
-		}
-		break
+		pending = stale // one retry against the new ring
 	}
-	n.reg.Counter("gcache.get_misses").Inc()
-	return 0, false
+	n.ctr.getHits.Add(int64(hits))
+	n.ctr.getMisses.Add(int64(len(keys) - hits))
+	return bad
+}
+
+// probeGroup is the keys (indexes into Get's keys) of one file that one
+// replica is asked for in a walk round.
+type probeGroup struct {
+	member int
+	file   blockio.FileID
+	keys   []int
+}
+
+// probe is one PeerGet in flight.
+type probe struct {
+	x    exchange
+	keys []int
+}
+
+// walk runs the replica walk for keys[pending] against one ring, in rounds
+// (see Get). It returns the hits and malformed answers it saw and the keys
+// a peer answered with a stale epoch.
+func (n *Node) walk(ring *membership.Ring, keys []blockio.BlockKey, pending []int, hit func(int, []byte)) (hits, bad int, stale []int) {
+	bs := n.buf.BlockSize()
+	members := ring.Members()
+	rep := ring.Replicas()
+	flat := make([]int, len(keys)*rep)
+	sets := make([][]int, len(keys))
+	pos := make([]int, len(keys))
+	for _, k := range pending {
+		sets[k] = ring.ReplicaSet(keys[k], flat[k*rep:k*rep:(k+1)*rep])
+	}
+	for active := pending; len(active) > 0; {
+		var groups []probeGroup
+		for _, k := range active {
+			set := sets[k]
+			if pos[k] >= len(set) {
+				continue // every replica failed: a miss
+			}
+			mi := set[pos[k]]
+			if members[mi].ID == n.opts.SelfID {
+				continue // our own cache already missed; the block is not here
+			}
+			if pos[k] > 0 {
+				n.ctr.failovers.Inc()
+			}
+			gi := 0
+			for gi < len(groups) && (groups[gi].member != mi || groups[gi].file != keys[k].File) {
+				gi++
+			}
+			if gi == len(groups) {
+				groups = append(groups, probeGroup{member: mi, file: keys[k].File})
+			}
+			groups[gi].keys = append(groups[gi].keys, k)
+		}
+		var probes []probe
+		for _, g := range groups {
+			for len(g.keys) > 0 {
+				chunk := g.keys[:min(len(g.keys), wire.MaxFrameBlocks(bs))]
+				g.keys = g.keys[len(chunk):]
+				idx := make([]int64, len(chunk))
+				for j, k := range chunk {
+					idx[j] = keys[k].Index
+				}
+				req := &wire.PeerGet{File: g.file, Epoch: ring.Epoch(), Indexes: idx}
+				probes = append(probes, probe{x: n.begin(members[g.member].Addr, req), keys: chunk})
+			}
+		}
+		var next []int
+		for _, p := range probes {
+			res, err := p.x.finish()
+			var gr *wire.PeerGetResp
+			if err == nil {
+				if gr, _ = res.Msg.(*wire.PeerGetResp); gr == nil {
+					res.Release()
+				}
+			}
+			if gr == nil {
+				// Unreachable, or not speaking the protocol: fail over.
+				for _, k := range p.keys {
+					pos[k]++
+				}
+				next = append(next, p.keys...)
+				continue
+			}
+			switch {
+			case gr.Status == wire.StatusStaleEpoch:
+				stale = append(stale, p.keys...)
+			case gr.Status != wire.StatusOK:
+				// A reachable peer answered without the blocks: their walk
+				// ends.
+			case !gr.CheckBlocks(len(p.keys), bs):
+				bad += len(p.keys)
+			default:
+				data := gr.Data
+				for j, k := range p.keys {
+					if gr.Found[j] {
+						hit(k, data[:bs:bs])
+						data = data[bs:]
+						hits++
+					}
+				}
+			}
+			res.Release()
+		}
+		active = next
+	}
+	return hits, bad, stale
 }
 
 // Push asynchronously forwards a freshly fetched block to its primary
 // home node. Blocks homed at this node are ignored (they are already in
-// the local cache). data is copied into a pooled buffer before Push
-// returns, so the caller may recycle it immediately.
+// the local cache), as is anything but a whole block. data is copied into
+// a pooled buffer before Push returns, so the caller may recycle it
+// immediately; a full queue drops the push (gcache.push_dropped).
 func (n *Node) Push(key blockio.BlockKey, owner int, data []byte) {
+	if len(data) != n.buf.BlockSize() {
+		return
+	}
 	ring := n.ring.Load()
 	p := ring.Primary(key)
 	if p < 0 || ring.Members()[p].ID == n.opts.SelfID {
@@ -417,74 +565,131 @@ func (n *Node) Push(key blockio.BlockKey, owner int, data []byte) {
 	cp := n.pushBufs.Get(len(data))
 	copy(cp, data)
 	select {
-	case n.pushCh <- wire.PeerPut{File: key.File, Index: key.Index, Owner: uint32(owner), Data: cp}:
+	case n.pushCh <- pushItem{key: key, owner: uint32(owner), data: cp}:
 	default:
 		n.pushBufs.Put(cp)
-		n.reg.Counter("gcache.push_dropped").Inc()
+		n.ctr.pushDropped.Inc()
 	}
 }
 
-// pushLoop delivers queued pushes. The primary is re-resolved at send
-// time against the current ring (the view may have moved since Push), and
-// a stale-epoch answer refreshes the view and retries once against the
-// new primary.
+// pushLoop delivers queued pushes: each wakeup drains whatever is queued
+// (at most the queue's capacity) and sends it as one coalesced PeerPut per
+// primary.
 func (n *Node) pushLoop() {
 	defer n.wg.Done()
+	batch := make([]pushItem, 0, cap(n.pushCh))
 	for {
 		select {
 		case <-n.stop:
 			return
-		case put := <-n.pushCh:
-			n.deliverPush(&put)
-			n.pushBufs.Put(put.Data)
+		case it := <-n.pushCh:
+			batch = append(batch[:0], it)
+		drain:
+			for len(batch) < cap(batch) {
+				select {
+				case it := <-n.pushCh:
+					batch = append(batch, it)
+				default:
+					break drain
+				}
+			}
+			n.deliverPushes(batch)
+			for i := range batch {
+				n.pushBufs.Put(batch[i].data)
+				batch[i] = pushItem{}
+			}
 		}
 	}
 }
 
-func (n *Node) deliverPush(put *wire.PeerPut) {
-	for attempt := 0; attempt < 2; attempt++ {
+// put is one coalesced PeerPut in flight.
+type put struct {
+	x     exchange
+	items []pushItem
+	frame []byte // the packed data, pooled until the ack
+}
+
+// deliverPushes sends a drained batch: one PeerPut per primary, split at
+// wire.MaxFrameBlocks, every one in flight before any ack is awaited.
+// Primaries are re-resolved at send time against the current ring (the
+// view may have moved since Push), and a stale-epoch answer refreshes the
+// view and retries that frame's blocks once against their new primaries.
+// Delivery is best-effort: a failed push just leaves its blocks
+// unreplicated.
+func (n *Node) deliverPushes(items []pushItem) {
+	bs := n.buf.BlockSize()
+	for attempt := 0; attempt < 2 && len(items) > 0; attempt++ {
 		ring := n.ring.Load()
-		p := ring.Primary(blockio.BlockKey{File: put.File, Index: put.Index})
-		if p < 0 {
+		members := ring.Members()
+		byPrimary := make(map[int][]pushItem)
+		for _, it := range items {
+			if p := ring.Primary(it.key); p >= 0 && members[p].ID != n.opts.SelfID {
+				byPrimary[p] = append(byPrimary[p], it)
+			}
+		}
+		var puts []put
+		for p, group := range byPrimary {
+			for len(group) > 0 {
+				chunk := group[:min(len(group), wire.MaxFrameBlocks(bs))]
+				group = group[len(chunk):]
+				frame := n.frameBufs.Get(len(chunk) * bs)
+				entries := make([]wire.PeerPutEntry, len(chunk))
+				for i, it := range chunk {
+					entries[i] = wire.PeerPutEntry{File: it.key.File, Index: it.key.Index, Owner: it.owner}
+					copy(frame[i*bs:], it.data)
+				}
+				req := &wire.PeerPut{Epoch: ring.Epoch(), Entries: entries, Data: frame}
+				puts = append(puts, put{x: n.begin(members[p].Addr, req), items: chunk, frame: frame})
+			}
+		}
+		var stale []pushItem
+		for _, p := range puts {
+			res, err := p.x.finish()
+			n.frameBufs.Put(p.frame)
+			if err != nil {
+				continue
+			}
+			ack, ok := res.Msg.(*wire.PeerPutAck)
+			res.Release()
+			switch {
+			case !ok:
+			case ack.Status == wire.StatusOK:
+				n.ctr.pushTx.Add(int64(len(p.items)))
+			case ack.Status == wire.StatusStaleEpoch:
+				stale = append(stale, p.items...)
+			}
+		}
+		if len(stale) == 0 || !n.refreshView() {
 			return
 		}
-		m := ring.Members()[p]
-		if m.ID == n.opts.SelfID {
-			return
-		}
-		put.Epoch = ring.Epoch()
-		res, err := n.fetch(m.Addr, put)
-		if err != nil {
-			return // push is best-effort; the block just isn't replicated
-		}
-		ack, ok := res.Msg.(*wire.PeerPutAck)
-		st := wire.StatusOK
-		if ok {
-			st = ack.Status
-		}
-		res.Release()
-		if st == wire.StatusStaleEpoch && n.refreshView() {
-			continue
-		}
-		if st == wire.StatusOK {
-			n.reg.Counter("gcache.push_tx").Inc()
-		}
-		return
+		items = stale
 	}
 }
 
-// fetch performs one bounded exchange with a peer. A non-timeout failure
-// gets one immediate retry so a stale pooled connection can redial;
-// timeouts and ejections propagate straight out so the caller fails over
-// instead of paying the bound twice.
-func (n *Node) fetch(addr string, req wire.Message) (rpc.Result, error) {
+// exchange is one bounded round trip with a peer: begun by begin, which
+// puts it in flight, and finished by finish.
+type exchange struct {
+	rc  *rpc.Client
+	req wire.Message
+	p   rpc.Pending
+}
+
+func (n *Node) begin(addr string, req wire.Message) exchange {
 	rc := n.peerClient(addr)
-	res := rc.Call(req)
+	return exchange{rc: rc, req: req, p: rc.Start(req)}
+}
+
+// finish awaits the exchange's response. A failure other than a timeout
+// or an ejection gets one immediate synchronous retry so a stale pooled
+// connection can redial; timeouts and ejections propagate straight out
+// so the caller fails over instead of paying the bound twice.
+func (x *exchange) finish() (rpc.Result, error) {
+	res := x.p.Wait()
 	if res.Err != nil && !errors.Is(res.Err, rpc.ErrCallTimeout) && !errors.Is(res.Err, rpc.ErrPeerEjected) {
-		res = rc.Call(req)
+		res = x.rc.Call(x.req)
 	}
 	if res.Err != nil {
-		return rpc.Result{}, fmt.Errorf("globalcache: peer %s unreachable: %w", addr, res.Err)
+		return rpc.Result{}, fmt.Errorf("globalcache: peer %s unreachable: %w", x.rc.Addr(), res.Err)
 	}
 	return res, nil
 }
@@ -501,9 +706,9 @@ func (n *Node) peerClient(addr string) *rpc.Client {
 			Health: &rpc.HealthConfig{
 				FailThreshold: n.opts.FailThreshold,
 				ProbeInterval: n.opts.probeInterval(),
-				OnEject:       func() { n.reg.Counter("membership.ejections").Inc() },
-				OnReadmit:     func() { n.reg.Counter("membership.readmissions").Inc() },
-				OnProbe:       func() { n.reg.Counter("membership.reprobes").Inc() },
+				OnEject:       n.ctr.ejections.Inc,
+				OnReadmit:     n.ctr.readmissions.Inc,
+				OnProbe:       n.ctr.reprobes.Inc,
 			},
 		})
 		n.peers[addr] = rc

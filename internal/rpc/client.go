@@ -77,7 +77,8 @@ type ClientConfig struct {
 	// bound). On expiry the connection the request rode is torn down —
 	// every waiter on it fails with ErrCallTimeout and the next call
 	// re-dials — so a hung peer costs one timeout, not a hung caller.
-	// Go is not subject to the timeout; async callers own their waits.
+	// Start's Wait applies it too, counted from the send; Go is not
+	// subject to it — async callers own their waits.
 	CallTimeout time.Duration
 	// Health, when non-nil, enables per-peer circuit breaking (see
 	// HealthConfig): consecutive failures eject the peer, calls on an
@@ -153,22 +154,58 @@ func (c *Client) Go(req wire.Message) (<-chan Result, error) {
 // Call is the synchronous form of Go, bounded by ClientConfig.CallTimeout
 // when one is set. The caller owns the returned Result's lease (see
 // Result.Release).
-func (c *Client) Call(req wire.Message) Result {
+func (c *Client) Call(req wire.Message) Result { return c.Start(req).Wait() }
+
+// Pending is a round trip in flight, started by Client.Start.
+type Pending struct {
+	cc       *clientConn
+	conn     transport.Conn
+	ch       <-chan Result
+	err      error
+	deadline time.Time // zero: unbounded
+}
+
+// Start sends req and returns without awaiting the response, so a caller
+// can put several CallTimeout-bounded round trips in flight — to one peer
+// or to many — before awaiting any of them. The bound runs from the send:
+// Wait gives up once CallTimeout has passed since Start, however late the
+// caller gets to it. Call is Start followed by Wait.
+func (c *Client) Start(req wire.Message) Pending {
 	cc, err := c.pick()
 	if err != nil {
-		return Result{Err: err}
+		return Pending{err: err}
 	}
 	ch, conn, err := cc.send(req)
 	if err != nil {
-		return Result{Err: err}
+		return Pending{err: err}
 	}
-	if c.cfg.CallTimeout <= 0 {
-		return <-ch
+	p := Pending{cc: cc, conn: conn, ch: ch}
+	if c.cfg.CallTimeout > 0 {
+		p.deadline = time.Now().Add(c.cfg.CallTimeout)
 	}
-	timer := time.NewTimer(c.cfg.CallTimeout)
+	return p
+}
+
+// Wait awaits a started round trip. The caller owns the returned Result's
+// lease (see Result.Release).
+func (p Pending) Wait() Result {
+	if p.err != nil {
+		return Result{Err: p.err}
+	}
+	if p.deadline.IsZero() {
+		return <-p.ch
+	}
+	select {
+	case r := <-p.ch:
+		// Already answered: an expired deadline must not fail the
+		// connection under a response that made it in time.
+		return r
+	default:
+	}
+	timer := time.NewTimer(time.Until(p.deadline))
 	defer timer.Stop()
 	select {
-	case r := <-ch:
+	case r := <-p.ch:
 		return r
 	case <-timer.C:
 		// Fail the connection the request rode — but only if it is still
@@ -176,12 +213,12 @@ func (c *Client) Call(req wire.Message) Result {
 		// with it and the result below is immediate. After failLocked the
 		// waiter is guaranteed a result (the response that raced in, or
 		// ErrCallTimeout), so this receive cannot block.
-		cc.mu.Lock()
-		if cc.conn == conn {
-			cc.failLocked(ErrCallTimeout)
+		p.cc.mu.Lock()
+		if p.cc.conn == p.conn {
+			p.cc.failLocked(ErrCallTimeout)
 		}
-		cc.mu.Unlock()
-		return <-ch
+		p.cc.mu.Unlock()
+		return <-p.ch
 	}
 }
 

@@ -64,6 +64,32 @@ func TestCallTimeoutOnHungPeer(t *testing.T) {
 	}
 }
 
+// TestStartedCallsShareOneTimeout: calls put in flight together with
+// Start against hung peers each time out CallTimeout after their own
+// send, so awaiting them one after another costs one bound, not one per
+// call.
+func TestStartedCallsShareOneTimeout(t *testing.T) {
+	net := transport.NewMem()
+	const timeout = 100 * time.Millisecond
+	var pending []Pending
+	for _, addr := range []string{"hung-a", "hung-b", "hung-c"} {
+		stop := blackhole(t, net, addr)
+		defer stop()
+		c := NewClient(ClientConfig{Network: net, Addr: addr, Conns: 1, CallTimeout: timeout})
+		defer c.Close()
+		pending = append(pending, c.Start(&wire.Read{Offset: 1}))
+	}
+	start := time.Now()
+	for _, p := range pending {
+		if res := p.Wait(); !errors.Is(res.Err, ErrCallTimeout) {
+			t.Fatalf("err = %v, want ErrCallTimeout", res.Err)
+		}
+	}
+	if d := time.Since(start); d > 2*timeout+timeout/2 {
+		t.Fatalf("three started calls took %v to time out, want about one %v bound", d, timeout)
+	}
+}
+
 // TestConnDeathMidCall kills the pooled connection while a call is in
 // flight: the in-flight call must fail fast with a retryable error (not
 // hang, not ErrClosed), and the next call must re-dial and succeed once

@@ -536,41 +536,3 @@ func (m *InvalidAck) decode(r *reader) error {
 	m.Status = Status(s)
 	return err
 }
-
-func (m *PeerGet) append(b []byte) []byte {
-	b = apU64(b, uint64(m.File))
-	b = apI64(b, m.Index)
-	return apU64(b, m.Epoch)
-}
-
-func (m *PeerGet) decode(r *reader) error {
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	if m.Index, err = r.i64(); err != nil {
-		return err
-	}
-	m.Epoch, err = r.u64()
-	return err
-}
-
-func (m *PeerGetResp) appendHead(b []byte) []byte {
-	b = apU16(b, uint16(m.Status))
-	return apU32(b, uint32(len(m.Data)))
-}
-
-func (m *PeerGetResp) tail() []byte { return m.Data }
-
-func (m *PeerGetResp) append(b []byte) []byte { return append(m.appendHead(b), m.Data...) }
-
-func (m *PeerGetResp) decode(r *reader) error {
-	s, err := r.u16()
-	if err != nil {
-		return err
-	}
-	m.Status = Status(s)
-	m.Data, err = r.bytes()
-	return err
-}

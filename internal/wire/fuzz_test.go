@@ -53,9 +53,9 @@ func fuzzSampleMessages() []Message {
 		&InvalidAck{Status: StatusOK},
 		&Register{Client: 3, Addr: "node0:9000"},
 		&RegisterAck{Status: StatusOK},
-		&PeerGet{File: 7, Index: 5},
-		&PeerGetResp{Status: StatusOK, Data: []byte{9, 9}},
-		&PeerPut{File: 7, Index: 5, Owner: 1, Data: []byte{8, 8}},
+		&PeerGet{File: 7, Epoch: 2, Indexes: []int64{5, 6, 40}},
+		&PeerGetResp{Status: StatusOK, Found: []bool{true, false, false, true, false, false, false, false, true}, Data: []byte{9, 9, 8, 8, 7, 7}},
+		&PeerPut{Epoch: 2, Entries: []PeerPutEntry{{File: 7, Index: 5, Owner: 1}, {File: 7, Index: 9, Owner: 3}}, Data: []byte{8, 8, 6, 6}},
 		&PeerPutAck{Status: StatusOK},
 	}
 }
@@ -92,6 +92,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0x7f, 0x7f})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x0e, 0x04, 0x01, // Invalidate
 		0, 0, 0, 0, 0, 0, 0, 7, 0xFF, 0xFF, 0xFF, 0xFF}) // count 2^32-1
+	f.Add([]byte{0x00, 0x00, 0x00, 0x08, 0x05, 0x06, // PeerGetResp
+		0, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // found-flag count 2^32-1, no bitmap
+	f.Add([]byte{0x00, 0x00, 0x00, 0x0f, 0x05, 0x06, // PeerGetResp
+		0, 0, 0, 0, 0, 1, 0x03, 0, 0, 0, 2, 7, 7}) // padding bit set
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tag, tagged, m, err := ReadFrame(bytes.NewReader(data))
 		// The zero-copy decoder must accept and reject exactly the same
@@ -197,9 +201,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint8(2), uint64(9), int64(-1), int64(1<<40), []byte("x"), uint64(1<<63), true)
 	f.Add(uint8(3), uint64(0), int64(100), int64(200), []byte("abcde"), uint64(3), false)
 	f.Add(uint8(4), uint64(5), int64(5), int64(6), []byte("names"), uint64(0), true)
+	f.Add(uint8(5), uint64(7), int64(3), int64(4), []byte("block"), uint64(2), true)
+	f.Add(uint8(6), uint64(7), int64(3), int64(1<<20), []byte{}, uint64(2), false)
+	f.Add(uint8(7), uint64(7), int64(0x2d), int64(9), []byte("blk"), uint64(0), true)
 	f.Fuzz(func(t *testing.T, kind uint8, file uint64, a, b int64, blob []byte, tag uint64, tagged bool) {
 		var m Message
-		switch kind % 6 {
+		switch kind % 8 {
 		case 0:
 			m = &Read{Client: uint32(file), File: blockio.FileID(file), Offset: a, Length: b, Track: tagged}
 		case 1:
@@ -213,7 +220,24 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		case 4:
 			m = &Invalidate{File: blockio.FileID(file), Indices: []int64{a, b, a ^ b}}
 		case 5:
-			m = &PeerPut{File: blockio.FileID(file), Index: a, Owner: uint32(b), Data: blob}
+			// Two entries, so the packed data is the blob twice.
+			m = &PeerPut{Epoch: tag, Entries: []PeerPutEntry{
+				{File: blockio.FileID(file), Index: a, Owner: uint32(b)},
+				{File: blockio.FileID(file), Index: b, Owner: uint32(a)},
+			}, Data: append(append([]byte{}, blob...), blob...)}
+		case 6:
+			m = &PeerGet{File: blockio.FileID(file), Epoch: tag, Indexes: []int64{a, b, a ^ b}}
+		case 7:
+			// The found flags follow a's low bits; one blob per found flag.
+			found := make([]bool, 1+int(uint64(b)%19))
+			var data []byte
+			for i := range found {
+				found[i] = a>>(i%64)&1 != 0
+				if found[i] {
+					data = append(data, blob...)
+				}
+			}
+			m = &PeerGetResp{Status: Status(tag), Found: found, Data: data}
 		}
 		enc, err := encodeFrame(tag, tagged, m)
 		if err != nil {

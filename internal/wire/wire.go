@@ -69,8 +69,6 @@ const (
 	TFlushAck     Type = 0x0302
 	TInvalidate   Type = 0x0401
 	TInvalidAck   Type = 0x0402
-	TPeerGet      Type = 0x0501
-	TPeerGetResp  Type = 0x0502
 )
 
 // String names the message type for logs.
@@ -426,25 +424,6 @@ type Invalidate struct {
 // InvalidAck acknowledges an Invalidate.
 type InvalidAck struct{ Status Status }
 
-// --- global-cache extension ---
-
-// PeerGet asks a peer node's cache for a single block. Epoch is the
-// membership epoch the requester routed with; a peer holding a different
-// view answers StatusStaleEpoch so the requester refetches the view
-// before retrying (epoch 0 on either side skips the check — static
-// rings).
-type PeerGet struct {
-	File  blockio.FileID
-	Index int64
-	Epoch uint64
-}
-
-// PeerGetResp returns the block if the peer holds it.
-type PeerGetResp struct {
-	Status Status
-	Data   []byte
-}
-
 // WireType implementations.
 func (*Create) WireType() Type       { return TCreate }
 func (*CreateResp) WireType() Type   { return TCreateResp }
@@ -467,8 +446,6 @@ func (*Flush) WireType() Type        { return TFlush }
 func (*FlushAck) WireType() Type     { return TFlushAck }
 func (*Invalidate) WireType() Type   { return TInvalidate }
 func (*InvalidAck) WireType() Type   { return TInvalidAck }
-func (*PeerGet) WireType() Type      { return TPeerGet }
-func (*PeerGetResp) WireType() Type  { return TPeerGetResp }
 
 // New constructs an empty message of the given type, or nil for unknown
 // types.
@@ -626,7 +603,7 @@ func appendFrame(b []byte, tag uint64, tagged bool, m Message) ([]byte, error) {
 
 // dataTail is implemented by messages whose encoding is a fixed head
 // followed by one bulk payload as the final field (ReadResp,
-// ReadBlocksResp, Write, SyncWrite, PeerGet/PeerPut responses). writeFrame
+// ReadBlocksResp, Write, SyncWrite, PeerGetResp, PeerPut). writeFrame
 // writes the tail straight from the message's own buffer — a writev on
 // TCP, two pipe writes in memory — instead of copying it into the frame
 // buffer first.

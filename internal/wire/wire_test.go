@@ -51,8 +51,10 @@ func TestRoundTripAllTypes(t *testing.T) {
 		&FlushAck{Status: StatusOK},
 		&Invalidate{File: 6, Indices: []int64{1, 5, 9}},
 		&InvalidAck{Status: StatusOK},
-		&PeerGet{File: 2, Index: 44},
-		&PeerGetResp{Status: StatusOK, Data: []byte("blk")},
+		&PeerGet{File: 2, Epoch: 3, Indexes: []int64{44, 45, 90}},
+		&PeerGetResp{Status: StatusOK, Found: []bool{true, false, true}, Data: []byte("blkblk")},
+		&PeerPut{Epoch: 3, Entries: []PeerPutEntry{{File: 2, Index: 44, Owner: 1}}, Data: []byte("blk")},
+		&PeerPutAck{Status: StatusOK},
 	}
 	for _, m := range msgs {
 		got := roundTrip(t, m)
@@ -72,6 +74,20 @@ func normalize(m Message) Message {
 	case *PeerGetResp:
 		if len(v.Data) == 0 {
 			v.Data = []byte{}
+		}
+		if len(v.Found) == 0 {
+			v.Found = []bool{}
+		}
+	case *PeerGet:
+		if len(v.Indexes) == 0 {
+			v.Indexes = []int64{}
+		}
+	case *PeerPut:
+		if len(v.Data) == 0 {
+			v.Data = []byte{}
+		}
+		if len(v.Entries) == 0 {
+			v.Entries = []PeerPutEntry{}
 		}
 	case *ListResp:
 		if len(v.Names) == 0 {

@@ -23,8 +23,8 @@ func TestVectoredEncodeMatchesCopyingEncode(t *testing.T) {
 			&ReadBlocksResp{Status: StatusOK, Lens: []uint32{uint32(n)}, Data: data},
 			&Write{Client: 7, File: 3, Offset: 99, Data: data},
 			&SyncWrite{Client: 7, File: 3, Offset: 99, Data: data},
-			&PeerGetResp{Status: StatusOK, Data: data},
-			&PeerPut{File: 3, Index: 5, Owner: 2, Data: data},
+			&PeerGetResp{Status: StatusOK, Found: []bool{true}, Data: data},
+			&PeerPut{Entries: []PeerPutEntry{{File: 3, Index: 5, Owner: 2}}, Data: data},
 		}
 		for _, m := range msgs {
 			var vec bytes.Buffer
@@ -54,8 +54,8 @@ func TestAliasedDecodeMatchesCopyingDecode(t *testing.T) {
 		&ReadBlocksResp{Status: StatusOK, Lens: []uint32{uint32(len(data))}, Data: data},
 		&Write{Client: 1, File: 2, Offset: 3, Data: data},
 		&SyncWrite{Client: 1, File: 2, Offset: 3, Data: data},
-		&PeerGetResp{Status: StatusOK, Data: data},
-		&PeerPut{File: 2, Index: 9, Owner: 1, Data: data},
+		&PeerGetResp{Status: StatusOK, Found: []bool{false, true, true}, Data: data},
+		&PeerPut{Entries: []PeerPutEntry{{File: 2, Index: 9, Owner: 1}, {File: 2, Index: 10}}, Data: data},
 		&Flush{Client: 1, File: 2, Blocks: []FlushBlock{{Index: 4, Off: 8, Data: data}}},
 	}
 	for _, m := range aliasing {
