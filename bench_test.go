@@ -23,8 +23,10 @@ import (
 	"time"
 
 	"pvfscache/internal/blockio"
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/cluster"
+	"pvfscache/internal/globalcache"
 	"pvfscache/internal/harness"
 	"pvfscache/internal/pvfs"
 )
@@ -202,17 +204,13 @@ func BenchmarkBlockLookupCopy(b *testing.B) {
 // liveCluster boots an in-memory live cluster with a seeded file for the
 // data-path benchmarks.
 func liveCluster(b *testing.B, caching bool) (*cluster.Cluster, *pvfs.File) {
-	return liveClusterCfg(b, cluster.Config{
+	b.Helper()
+	c, err := cluster.Start(cluster.Config{
 		IODs:        4,
 		ClientNodes: 1,
 		Caching:     caching,
-		FlushPeriod: 50 * time.Millisecond,
+		Module:      cachemod.Config{FlushPeriod: 50 * time.Millisecond},
 	})
-}
-
-func liveClusterCfg(b *testing.B, cfg cluster.Config) (*cluster.Cluster, *pvfs.File) {
-	b.Helper()
-	c, err := cluster.Start(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,7 +220,7 @@ func liveClusterCfg(b *testing.B, cfg cluster.Config) (*cluster.Cluster, *pvfs.F
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { p.Close() })
-	f, err := p.Create(fmt.Sprintf("bench-%v-%v.dat", cfg.Caching, cfg.DisableZeroCopy), pvfs.StripeSpec{})
+	f, err := p.Create(fmt.Sprintf("bench-%v.dat", caching), pvfs.StripeSpec{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,33 +247,6 @@ func BenchmarkLiveReadCachedHit(b *testing.B) {
 	b.SetBytes(64 << 10)
 }
 
-// BenchmarkLiveReadCachedHitCopying is the zero-copy ablation baseline:
-// the same warm 64 KB read with Config.DisableZeroCopy, so the cache
-// module assembles a fresh response buffer per request and libpvfs copies
-// it into the caller's memory — the pre-zero-copy data path. The pair
-// with BenchmarkLiveReadCachedHit quantifies the allocation and copy cost
-// the leased-buffer path removes.
-func BenchmarkLiveReadCachedHitCopying(b *testing.B) {
-	_, f := liveClusterCfg(b, cluster.Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		FlushPeriod:     50 * time.Millisecond,
-		DisableZeroCopy: true,
-	})
-	buf := make([]byte, 64<<10)
-	if _, err := f.ReadAt(buf, 0); err != nil { // warm the cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(64 << 10)
-}
-
 // benchLiveCachedHitParallel measures 8 application processes on one node
 // reading disjoint warm 64 KB regions concurrently — every byte is served
 // from the shared cache, so the node's throughput is bounded by the buffer
@@ -286,9 +257,13 @@ func benchLiveCachedHitParallel(b *testing.B, shards int) {
 		IODs:        4,
 		ClientNodes: 1,
 		Caching:     true,
-		CacheBlocks: 300,
-		CacheShards: shards,
-		FlushPeriod: 50 * time.Millisecond,
+		Module: cachemod.Config{
+			Buffer: buffer.Config{
+				Capacity: 300,
+				Shards:   shards,
+			},
+			FlushPeriod: 50 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -384,24 +359,26 @@ func BenchmarkLiveWriteBehind(b *testing.B) {
 	b.SetBytes(64 << 10)
 }
 
-// benchStridedMisses measures a miss-heavy strided read against a cold
+// BenchmarkLiveReadMissStrided measures a miss-heavy strided read against a cold
 // cache: an 8-block strided read per iod. The file is striped in
 // single-block strips over four iods, so a 128 KB read decomposes into 8
 // non-consecutive single-block runs on each iod — the striding the
-// paper's data-parallel workloads induce. The vectored path sends each
-// iod ONE ReadBlocks carrying its 8 runs as extents; the per-block
-// (legacy) path sends each iod 8 concurrent Reads. The working set (4 MB)
+// paper's data-parallel workloads induce. The miss engine sends each
+// iod ONE ReadBlocks carrying its 8 runs as extents. The working set (4 MB)
 // is 16x the cache, so every window is cold by the time the scan revisits
 // it. Readahead is off so the numbers isolate the miss engine.
-func benchStridedMisses(b *testing.B, disableVector bool) {
+func BenchmarkLiveReadMissStrided(b *testing.B) {
 	c, err := cluster.Start(cluster.Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     64, // 256 KB: far below the 4 MB working set
-		FlushPeriod:     50 * time.Millisecond,
-		ReadaheadWindow: -1,
-		DisableVector:   disableVector,
+		IODs:        4,
+		ClientNodes: 1,
+		Caching:     true,
+		Module: cachemod.Config{
+			Buffer: buffer.Config{
+				Capacity: 64, // 256 KB: far below the 4 MB working set
+			},
+			FlushPeriod:     50 * time.Millisecond,
+			ReadaheadWindow: -1,
+		},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -439,14 +416,6 @@ func benchStridedMisses(b *testing.B, disableVector bool) {
 	b.SetBytes(int64(len(buf)))
 }
 
-// BenchmarkLiveReadMissStrided is the vectored miss engine on the strided
-// cold-cache pattern (one ReadBlocks per iod, 8 extents each).
-func BenchmarkLiveReadMissStrided(b *testing.B) { benchStridedMisses(b, false) }
-
-// BenchmarkLiveReadMissStridedPerBlock is the same pattern on the legacy
-// per-run path (8 Reads per iod per request) — the ablation baseline.
-func BenchmarkLiveReadMissStridedPerBlock(b *testing.B) { benchStridedMisses(b, true) }
-
 // benchScanSink keeps the scan's checksum pass from being optimized away.
 var benchScanSink byte
 
@@ -460,12 +429,16 @@ var benchScanSink byte
 // prefetchhits/op and fullhits/op metrics report the conversion rate.
 func benchSequentialScan(b *testing.B, window int) {
 	c, err := cluster.Start(cluster.Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     256, // 1 MB: the scan cannot fit, readahead must keep up
-		FlushPeriod:     50 * time.Millisecond,
-		ReadaheadWindow: window,
+		IODs:        4,
+		ClientNodes: 1,
+		Caching:     true,
+		Module: cachemod.Config{
+			Buffer: buffer.Config{
+				Capacity: 256, // 1 MB: the scan cannot fit, readahead must keep up
+			},
+			FlushPeriod:     50 * time.Millisecond,
+			ReadaheadWindow: window,
+		},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -531,14 +504,18 @@ func benchScanVsWorkingSet(b *testing.B, pol buffer.Policy) {
 	const wsBlocks = 128    // 512 KB working set: fits the protected segment
 	const scanBlocks = 1024 // 4 MB scan: four times the whole cache
 	c, err := cluster.Start(cluster.Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     256,
-		CacheShards:     1, // one stripe: deterministic replacement order
-		Policy:          pol,
-		ReadaheadWindow: -1, // block-by-block reads isolate admission
-		FlushPeriod:     time.Hour,
+		IODs:        4,
+		ClientNodes: 1,
+		Caching:     true,
+		Module: cachemod.Config{
+			Buffer: buffer.Config{
+				Capacity: 256,
+				Shards:   1, // one stripe: deterministic replacement order
+				Policy:   pol,
+			},
+			ReadaheadWindow: -1, // block-by-block reads isolate admission
+			FlushPeriod:     time.Hour,
+		},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -620,8 +597,12 @@ func BenchmarkLiveReadMultiClientMisses(b *testing.B) {
 		IODs:        4,
 		ClientNodes: 1,
 		Caching:     true,
-		CacheBlocks: 64, // 256 KB: forces misses against the 4 MB file
-		FlushPeriod: 50 * time.Millisecond,
+		Module: cachemod.Config{
+			Buffer: buffer.Config{
+				Capacity: 64, // 256 KB: forces misses against the 4 MB file
+			},
+			FlushPeriod: 50 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -690,8 +671,10 @@ func BenchmarkGlobalCacheRemoteRead(b *testing.B) {
 		IODs:        2,
 		ClientNodes: 2,
 		Caching:     true,
-		GlobalCache: true,
-		FlushPeriod: 50 * time.Millisecond,
+		Module: cachemod.Config{
+			FlushPeriod: 50 * time.Millisecond,
+			GlobalCache: &globalcache.Options{},
+		},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -748,14 +731,18 @@ func benchLiveWriteStorm(b *testing.B, streams, window int) {
 
 func benchLiveWriteStormBackend(b *testing.B, streams, window int, backend string) {
 	cfg := cluster.Config{
-		IODs:         4,
-		ClientNodes:  1,
-		Caching:      true,
-		CacheBlocks:  1024, // 4 MB: the 2 MB storm fits without pressure
-		FlushPeriod:  time.Hour,
-		FlushStreams: streams,
-		FlushWindow:  window,
-		Backend:      backend,
+		IODs:        4,
+		ClientNodes: 1,
+		Caching:     true,
+		Module: cachemod.Config{
+			Buffer: buffer.Config{
+				Capacity: 1024, // 4 MB: the 2 MB storm fits without pressure
+			},
+			FlushPeriod:  time.Hour,
+			FlushStreams: streams,
+			FlushWindow:  window,
+		},
+		Backend: backend,
 	}
 	if backend == "disk" {
 		cfg.DataDir = b.TempDir()

@@ -14,15 +14,15 @@
 //
 // The tool reports per-request latency, total completion time per
 // instance, and the cache-module counters. The -cpuprofile/-memprofile
-// flags write standard pprof profiles (see examples/README.md), and the
-// ablation flags -nozerocopy, -novector, -shards, -flushstreams and
-// -flushwindow select the copying data path, the per-run miss engine,
-// the buffer manager's stripe count, and the write-behind engine's
-// stream/window shape (-flushstreams 1 -flushwindow 1 is the serial
-// pre-pipeline drain). The admission knobs -policy, -ghostfrac and
-// -bypass pick the replacement policy (clock, lru, or the
-// scan-resistant ghost policy), size its ghost history, and enable the
-// streaming read-around. See docs/TUNING.md for the full knob table.
+// flags write standard pprof profiles (see examples/README.md). The
+// cache-module flags bind straight onto a cachemod.Config: -readahead
+// sets the readahead window, -shards the buffer manager's stripe count,
+// and -flushstreams/-flushwindow the write-behind engine's stream/window
+// shape (-flushstreams 1 -flushwindow 1 is the serial pre-pipeline
+// drain). The admission knobs -policy, -ghostfrac and -bypass pick the
+// replacement policy (clock, lru, or the scan-resistant ghost policy),
+// size its ghost history, and enable the streaming read-around. See
+// docs/TUNING.md for the full knob table.
 //
 // The in-process iods keep their blocks in memory by default;
 // -backend=disk puts each one on a WAL-backed on-disk store instead
@@ -77,16 +77,17 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
-	var mods modFlags
-	flag.IntVar(&mods.readahead, "readahead", 0, "sequential-readahead window in blocks (0 = default, negative disables)")
-	flag.BoolVar(&mods.novector, "novector", false, "use the legacy one-Read-per-run miss path (ablation)")
-	flag.BoolVar(&mods.nozerocopy, "nozerocopy", false, "use the copying data path (ablation: per-request response buffers, no pooled leases)")
-	flag.IntVar(&mods.shards, "shards", 0, "cache lock stripes (0 = power of two >= GOMAXPROCS, 1 = single-mutex ablation)")
-	flag.IntVar(&mods.flushStreams, "flushstreams", 0, "concurrent per-iod flush streams (0 = all iods in parallel, 1 = serial ablation)")
-	flag.IntVar(&mods.flushWindow, "flushwindow", 0, "in-flight flush frames per stream (0 = default 4, 1 = blocking ablation)")
-	policyName := flag.String("policy", "clock", "replacement policy: clock, lru, or ghost (scan-resistant)")
-	flag.Float64Var(&mods.ghostFrac, "ghostfrac", 0, "ghost-list size as a fraction of cache capacity under -policy ghost (0 = default 1.0, negative disables)")
-	flag.IntVar(&mods.bypass, "bypass", 0, "sequential streak at which streaming reads bypass the cache (0 = disabled)")
+	var mod cachemod.Config // knob template; each node's wiring is added per run
+	flag.IntVar(&mod.ReadaheadWindow, "readahead", 0, "sequential-readahead window in blocks (0 = default, negative disables)")
+	flag.IntVar(&mod.Buffer.Shards, "shards", 0, "cache lock stripes (0 = power of two >= GOMAXPROCS, 1 = single-mutex ablation)")
+	flag.IntVar(&mod.FlushStreams, "flushstreams", 0, "concurrent per-iod flush streams (0 = all iods in parallel, 1 = serial ablation)")
+	flag.IntVar(&mod.FlushWindow, "flushwindow", 0, "in-flight flush frames per stream (0 = default 4, 1 = blocking ablation)")
+	flag.Func("policy", "replacement policy: clock (default), lru, or ghost (scan-resistant)", func(v string) (err error) {
+		mod.Buffer.Policy, err = buffer.ParsePolicy(v)
+		return err
+	})
+	flag.Float64Var(&mod.Buffer.GhostFrac, "ghostfrac", 0, "ghost-list size as a fraction of cache capacity under -policy ghost (0 = default 1.0, negative disables)")
+	flag.IntVar(&mod.BypassThreshold, "bypass", 0, "sequential streak at which streaming reads bypass the cache (0 = disabled)")
 	var sf storageFlags
 	flag.StringVar(&sf.backend, "backend", "", "iod storage engine for the in-process cluster: mem (default) or disk")
 	flag.StringVar(&sf.dataDir, "datadir", "", "data directory for -backend disk (default: a temp dir, removed at exit)")
@@ -100,12 +101,6 @@ func main() {
 		runChaos(cf, sf, *seed)
 		return
 	}
-
-	pol, err := buffer.ParsePolicy(*policyName)
-	if err != nil {
-		log.Fatalf("-policy: %v", err)
-	}
-	mods.policy = pol
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -147,7 +142,7 @@ func main() {
 	}
 
 	if *mgrAddr == "" {
-		runInProcess(mb, *caching, mods, sf)
+		runInProcess(mb, *caching, mod, sf)
 		return
 	}
 	if sf.backend != "" {
@@ -158,21 +153,7 @@ func main() {
 	if len(iods) == 0 {
 		log.Fatal("-iods is required with -mgr")
 	}
-	runAgainst(mb, *caching, mods, transport.NewTCP(), *mgrAddr, iods, flushes)
-}
-
-// modFlags collects the cache-module tuning/ablation flags (see
-// docs/TUNING.md for what each one restores or enables).
-type modFlags struct {
-	readahead    int
-	novector     bool
-	nozerocopy   bool
-	shards       int
-	flushStreams int
-	flushWindow  int
-	policy       buffer.Policy
-	ghostFrac    float64
-	bypass       int
+	runAgainst(mb, *caching, mod, transport.NewTCP(), *mgrAddr, iods, flushes)
 }
 
 // storageFlags selects the iod storage engine for in-process clusters.
@@ -212,9 +193,10 @@ func splitList(s string) []string {
 
 // runInProcess boots a full in-memory cluster and runs the benchmark with
 // and without caching for comparison.
-func runInProcess(mb microbench.Params, caching bool, mods modFlags, sf storageFlags) {
+func runInProcess(mb microbench.Params, caching bool, mod cachemod.Config, sf storageFlags) {
 	dataDir, cleanup := sf.resolveDataDir()
 	defer cleanup()
+	mod.FlushPeriod = 100 * time.Millisecond
 	modes := []bool{caching}
 	if caching {
 		modes = []bool{true, false}
@@ -227,23 +209,14 @@ func runInProcess(mb microbench.Params, caching bool, mods modFlags, sf storageF
 			sub = fmt.Sprintf("%s/mode%d", dataDir, i)
 		}
 		c, err := cluster.Start(cluster.Config{
-			IODs:            4,
-			ClientNodes:     mb.Nodes,
-			Caching:         withCache,
-			FlushPeriod:     100 * time.Millisecond,
-			ReadaheadWindow: mods.readahead,
-			BypassThreshold: mods.bypass,
-			DisableVector:   mods.novector,
-			DisableZeroCopy: mods.nozerocopy,
-			CacheShards:     mods.shards,
-			Policy:          mods.policy,
-			GhostFrac:       mods.ghostFrac,
-			FlushStreams:    mods.flushStreams,
-			FlushWindow:     mods.flushWindow,
-			Backend:         sf.backend,
-			DataDir:         sub,
-			Fsync:           sf.fsync,
-			FsyncInterval:   sf.fsyncInterval,
+			IODs:          4,
+			ClientNodes:   mb.Nodes,
+			Caching:       withCache,
+			Module:        mod,
+			Backend:       sf.backend,
+			DataDir:       sub,
+			Fsync:         sf.fsync,
+			FsyncInterval: sf.fsyncInterval,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -261,32 +234,20 @@ func runInProcess(mb microbench.Params, caching bool, mods modFlags, sf storageF
 }
 
 // runAgainst executes the benchmark against external daemons.
-func runAgainst(mb microbench.Params, caching bool, mods modFlags, net transport.Network, mgrAddr string, iods, flushes []string) {
+func runAgainst(mb microbench.Params, caching bool, mod cachemod.Config, net transport.Network, mgrAddr string, iods, flushes []string) {
 	var modules []*cachemod.Module
 	if caching {
+		mod.Network = net
+		mod.IODDataAddrs = iods
+		mod.IODFlushAddrs = flushes
 		for node := 0; node < mb.Nodes; node++ {
-			mod, err := cachemod.New(cachemod.Config{
-				Network:       net,
-				ClientID:      uint32(node + 1),
-				IODDataAddrs:  iods,
-				IODFlushAddrs: flushes,
-				Buffer: buffer.Config{
-					Shards:    mods.shards,
-					Policy:    mods.policy,
-					GhostFrac: mods.ghostFrac,
-				},
-				ReadaheadWindow: mods.readahead,
-				BypassThreshold: mods.bypass,
-				DisableVector:   mods.novector,
-				DisableZeroCopy: mods.nozerocopy,
-				FlushStreams:    mods.flushStreams,
-				FlushWindow:     mods.flushWindow,
-			})
+			mod.ClientID = uint32(node + 1)
+			m, err := cachemod.New(mod)
 			if err != nil {
 				log.Fatalf("cache module for node %d: %v", node, err)
 			}
-			defer mod.Close()
-			modules = append(modules, mod)
+			defer m.Close()
+			modules = append(modules, m)
 		}
 	}
 	newProc := func(node int) (*pvfs.Client, error) {

@@ -15,6 +15,7 @@ import (
 	"math"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/pvfs"
 )
@@ -31,7 +32,7 @@ func main() {
 		IODs:        4,
 		ClientNodes: 1,
 		Caching:     true,
-		FlushPeriod: 100 * time.Millisecond,
+		Module:      cachemod.Config{FlushPeriod: 100 * time.Millisecond},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"log"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/pvfs"
 )
@@ -27,7 +28,7 @@ func main() {
 		IODs:        2,
 		ClientNodes: 2,
 		Caching:     true,
-		FlushPeriod: 50 * time.Millisecond,
+		Module:      cachemod.Config{FlushPeriod: 50 * time.Millisecond},
 	})
 	if err != nil {
 		log.Fatal(err)

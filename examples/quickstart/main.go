@@ -12,6 +12,7 @@ import (
 	"log"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/pvfs"
 )
@@ -25,7 +26,7 @@ func main() {
 		IODs:        4,
 		ClientNodes: 1,
 		Caching:     true,
-		FlushPeriod: 100 * time.Millisecond,
+		Module:      cachemod.Config{FlushPeriod: 100 * time.Millisecond},
 	})
 	if err != nil {
 		log.Fatal(err)

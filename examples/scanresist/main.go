@@ -33,6 +33,7 @@ import (
 	"log"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/pvfs"
@@ -141,26 +142,30 @@ func run(label string, cfg cluster.Config) int64 {
 func main() {
 	log.SetFlags(0)
 	base := cluster.Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     256,       // 1 MB cache
-		CacheShards:     1,         // one stripe: deterministic replacement order
-		FlushPeriod:     time.Hour, // write-behind is not today's story
-		ReadaheadWindow: -1,        // block-by-block reads keep the admission story visible
+		IODs:        4,
+		ClientNodes: 1,
+		Caching:     true,
+		Module: cachemod.Config{
+			Buffer: buffer.Config{
+				Capacity: 256, // 1 MB cache
+				Shards:   1,   // one stripe: deterministic replacement order
+			},
+			FlushPeriod:     time.Hour, // write-behind is not today's story
+			ReadaheadWindow: -1,        // block-by-block reads keep the admission story visible
+		},
 	}
 
 	ghostBypass := base
-	ghostBypass.Policy = buffer.PolicyGhost
-	ghostBypass.BypassThreshold = 8
+	ghostBypass.Module.Buffer.Policy = buffer.PolicyGhost
+	ghostBypass.Module.BypassThreshold = 8
 	withBypass := run("ghost policy + streaming bypass (-policy ghost -bypass 8)", ghostBypass)
 
 	ghostOnly := base
-	ghostOnly.Policy = buffer.PolicyGhost
+	ghostOnly.Module.Buffer.Policy = buffer.PolicyGhost
 	ghostAlone := run("ghost policy alone (-policy ghost)", ghostOnly)
 
 	lru := base
-	lru.Policy = buffer.PolicyLRU
+	lru.Module.Buffer.Policy = buffer.PolicyLRU
 	flushed := run("lru ablation (-policy lru)", lru)
 
 	fmt.Printf("\nworking-set refetches after a 4x-cache scan: ghost+bypass %d, ghost %d, lru %d of %d\n",

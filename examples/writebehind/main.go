@@ -19,6 +19,8 @@ import (
 	"log"
 	"time"
 
+	"pvfscache/internal/cachemod"
+	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/pvfs"
 )
@@ -95,15 +97,17 @@ func main() {
 		IODs:        4,
 		ClientNodes: 1,
 		Caching:     true,
-		CacheBlocks: 1024,      // 4 MB cache: the 2 MB storm fits
-		FlushPeriod: time.Hour, // background period off: FlushAll does the draining
+		Module: cachemod.Config{
+			Buffer:      buffer.Config{Capacity: 1024}, // 4 MB cache: the 2 MB storm fits
+			FlushPeriod: time.Hour,                     // background period off: FlushAll does the draining
+		},
 	}
 
 	piped := storm("pipelined: 4 streams × window 4 (default)", base)
 
 	serial := base
-	serial.FlushStreams = 1
-	serial.FlushWindow = 1
+	serial.Module.FlushStreams = 1
+	serial.Module.FlushWindow = 1
 	serialTime := storm("seed-shape ablation: -flushstreams 1 -flushwindow 1", serial)
 
 	fmt.Printf("\npipelined %v vs serial %v — over a real network/disk the gap widens\n",

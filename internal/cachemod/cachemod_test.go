@@ -132,39 +132,12 @@ func TestPartialHitSplitsRequest(t *testing.T) {
 		t.Fatal("split read wrong data")
 	}
 	d := r.reg.Snapshot().Diff(before)
-	if d["module.read_subrequests"] != 1 {
-		t.Fatalf("sub-requests = %d, want 1 (vectored)", d["module.read_subrequests"])
-	}
 	if d["module.read_vector_fetches"] != 1 {
 		t.Fatalf("vector fetches = %d, want 1", d["module.read_vector_fetches"])
 	}
 	if d["iod.reads"] != 1 || d["iod.vector_extents"] != 2 {
 		t.Fatalf("iod reads = %d (vector extents %d), want one round trip with 2 extents",
 			d["iod.reads"], d["iod.vector_extents"])
-	}
-}
-
-func TestPartialHitLegacySplitsRequest(t *testing.T) {
-	// With DisableVector the module reverts to the seed shape: one Read
-	// per run of consecutive missing blocks.
-	r := newRig(t, func(c *Config) { c.DisableVector = true })
-	data := bytes.Repeat([]byte{7}, 3*4096)
-	r.seed(0, 9, 0, data)
-
-	tr := r.mod.NewTransport()
-	sendRecv(t, tr, 0, &wire.Read{File: 9, Offset: 4096, Length: 4096})
-
-	before := r.reg.Snapshot()
-	resp := sendRecv(t, tr, 0, &wire.Read{File: 9, Offset: 0, Length: 3 * 4096}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, data) {
-		t.Fatal("split read wrong data")
-	}
-	d := r.reg.Snapshot().Diff(before)
-	if d["module.read_subrequests"] != 2 {
-		t.Fatalf("sub-requests = %d, want 2 (split around cached block)", d["module.read_subrequests"])
-	}
-	if d["iod.reads"] != 2 {
-		t.Fatalf("iod reads = %d, want 2", d["iod.reads"])
 	}
 }
 
@@ -468,10 +441,10 @@ func TestInvalidationListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer direct.Close()
-	if err := wire.WriteMessage(direct, &wire.SyncWrite{Client: 99, File: 7, Offset: 0, Data: make([]byte, 4096)}); err != nil {
+	if err := wire.WriteTagged(direct, 1, &wire.SyncWrite{Client: 99, File: 7, Offset: 0, Data: make([]byte, 4096)}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.ReadMessage(direct)
+	_, resp, err := wire.ReadFrame(direct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package cachemod
 // The write-storm drain pair: FlushAll over a full dirty cache spread
 // across 4 iods whose flush ports have a realistic per-frame service
 // time (disk write + network, modeled as a sleep, the same technique as
-// internal/rpc's FIFO-vs-multiplexed pair — on a single-core runner a
+// internal/rpc's BenchmarkMultiplexedPool — on a single-core runner a
 // sleep is the only latency that can genuinely overlap). The pipelined
 // engine drains all four iods in parallel with FlushWindow frames in
 // flight each; the serial ablation (FlushStreams=1, FlushWindow=1) is

@@ -29,8 +29,7 @@
 //     regions (pvfs.ReadSinker) and every span — cache hit, fetch join,
 //     fetched run — is copied straight into them, while fetched images
 //     live in pooled, reference-counted slabs rather than per-request
-//     allocations (see DESIGN.md §4 "Buffer ownership and lifetimes";
-//     Config.DisableZeroCopy restores the copying shape for ablation).
+//     allocations (see DESIGN.md §4 "Buffer ownership and lifetimes").
 //
 // One Module runs per node. Each application process obtains its own
 // pvfs.Transport from NewTransport; all of them share the cache — which is
@@ -134,18 +133,6 @@ type Config struct {
 	// disables the bypass; per-open hints (CacheNone/CacheMust) override
 	// it either way.
 	BypassThreshold int
-	// DisableVector reverts the miss engine to the legacy shape: one
-	// Read per run of consecutive missing blocks instead of one
-	// ReadBlocks covering every run. Kept for the ablation benchmarks
-	// that quantify the vectored path's win.
-	DisableVector bool
-	// DisableZeroCopy reverts the data path to the copying shape: cache
-	// hits assemble into a freshly allocated response buffer that libpvfs
-	// copies into the caller's memory (instead of scattering straight into
-	// it), and miss slabs, prefetch blocks and read-modify-write blocks
-	// are allocated per fetch instead of leased from pools. Kept as the
-	// ablation baseline that quantifies the zero-copy path's win.
-	DisableZeroCopy bool
 	// DisableCoherence skips the invalidation listener and iod
 	// registration; sync-writes then behave like plain writes plus a
 	// server write-through.
@@ -220,8 +207,6 @@ func (c *Config) fillDefaults() error {
 // memRef counts the readers of one pooled buffer shared by one or more
 // fetchStates — a miss run's slab, or a single prefetched/peer-fetched
 // block. The buffer returns to its pool when the count drains to zero.
-// With zero-copy disabled (plain allocations) pool is nil and release is
-// a no-op: the garbage collector owns the buffer, exactly as before.
 type memRef struct {
 	buf  []byte
 	pool *rpc.BufPool
@@ -238,7 +223,7 @@ func newMemRef(buf []byte, pool *rpc.BufPool) *memRef {
 func (r *memRef) retain() { r.refs.Add(1) }
 
 func (r *memRef) release() {
-	if r.refs.Add(-1) == 0 && r.pool != nil {
+	if r.refs.Add(-1) == 0 {
 		r.pool.Put(r.buf)
 	}
 }
@@ -276,7 +261,7 @@ type fetchState struct {
 	finalStamp uint32
 
 	refs atomic.Int32
-	mem  *memRef // backing allocation of data; nil when GC-managed
+	mem  *memRef // backing allocation of data; nil until published
 }
 
 // newFetchState returns a state with one reference, held by the fetch
@@ -304,7 +289,7 @@ type Module struct {
 
 	// slabs recycles miss-run assembly buffers, blocks recycles
 	// whole-block buffers (prefetch installs, peer gets, read-modify-write
-	// fetches). Both are bypassed when Config.DisableZeroCopy is set.
+	// fetches).
 	slabs  rpc.BufPool
 	blocks rpc.BufPool
 
@@ -771,13 +756,9 @@ func (m *Module) waitForSpace(deadline time.Time) bool {
 	}
 }
 
-// getSlab returns an n-byte assembly buffer: pooled and refcounted on the
-// zero-copy path, a plain (GC-managed) allocation with a nil ref when
-// zero-copy is disabled.
+// getSlab returns a pooled, refcounted n-byte assembly buffer. Its
+// contents are the previous tenant's bytes.
 func (m *Module) getSlab(n int) ([]byte, *memRef) {
-	if m.cfg.DisableZeroCopy {
-		return make([]byte, n), nil
-	}
 	buf := m.slabs.Get(n)
 	return buf, newMemRef(buf, &m.slabs)
 }
@@ -785,9 +766,6 @@ func (m *Module) getSlab(n int) ([]byte, *memRef) {
 // getBlock is getSlab for whole-block buffers, drawing on the block pool.
 func (m *Module) getBlock() ([]byte, *memRef) {
 	bs := m.buf.BlockSize()
-	if m.cfg.DisableZeroCopy {
-		return make([]byte, bs), nil
-	}
 	buf := m.blocks.Get(bs)
 	return buf, newMemRef(buf, &m.blocks)
 }
@@ -798,10 +776,8 @@ func (m *Module) getBlock() ([]byte, *memRef) {
 // arrive, and wakes everyone waiting on done. The caller still holds its
 // own state reference and must decref once it has finished reading data.
 func (m *Module) publishFetched(st *fetchState, key blockio.BlockKey, data []byte, mem *memRef) {
-	if mem != nil {
-		mem.retain()
-		st.mem = mem
-	}
+	mem.retain()
+	st.mem = mem
 	st.data = data
 	m.fetchMu.Lock()
 	if m.fetches[key] == st {
@@ -889,11 +865,7 @@ func (m *Module) readAdmitMode(file blockio.FileID) admitMode {
 // buffer for exactly the duration of the call.
 func (m *Module) fetchBlockSpan(iod int, key blockio.BlockKey, off int, dst []byte) error {
 	data, mem := m.getBlock()
-	defer func() {
-		if mem != nil {
-			mem.release()
-		}
-	}()
+	defer mem.release()
 	must := m.cachePolicy(key.File) == pvfs.CacheMust
 	for {
 		// The stamp must be read before the iod does: any write applied

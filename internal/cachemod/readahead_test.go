@@ -364,8 +364,8 @@ func TestReadaheadPrefetchesSequentialScan(t *testing.T) {
 	if d["module.prefetch_hits"] != 8 {
 		t.Fatalf("prefetch_hits = %d, want 8", d["module.prefetch_hits"])
 	}
-	if d["module.read_subrequests"] != 0 {
-		t.Fatalf("read_subrequests = %d, want 0", d["module.read_subrequests"])
+	if d["module.read_vector_fetches"] != 0 {
+		t.Fatalf("read_vector_fetches = %d, want 0", d["module.read_vector_fetches"])
 	}
 }
 

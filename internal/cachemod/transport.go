@@ -77,13 +77,12 @@ type pendingOp struct {
 
 // pendingRead tracks a read whose missing pieces are in flight. Every
 // span of the request resolved its destination slice at classification
-// time: a region of the caller's own buffer on the zero-copy sink path
-// (see SendRead), or of result — the freshly allocated response payload —
-// on the copying path. For a vectored request (libpvfs sent a ReadBlocks)
-// lens carries the per-extent byte counts for the response.
+// time: a region of the caller's own buffer (see SendRead), or of result
+// — the response payload Send allocates. For a vectored request (libpvfs
+// sent a ReadBlocks) lens carries the per-extent byte counts for the
+// response.
 type pendingRead struct {
-	result  []byte // response payload buffer; nil in sink mode
-	sink    bool   // destinations are caller-owned: respond status-only
+	result  []byte // response payload; nil on the SendRead path (status-only)
 	fetches []fetch
 	waits   []spanWait
 	vector  bool
@@ -116,7 +115,7 @@ type tgtSpan struct {
 }
 
 // fetchRun is a run of consecutive missing blocks this process owns: one
-// extent of a vectored fetch (or the whole of a legacy one).
+// extent of a vectored fetch.
 type fetchRun struct {
 	firstIdx int64
 	keys     []blockio.BlockKey
@@ -125,8 +124,7 @@ type fetchRun struct {
 }
 
 // fetch is one network round trip issued for a request's missing blocks:
-// a ReadBlocks covering every run at once, or — with Config.DisableVector
-// — a legacy Read carrying exactly one run.
+// a ReadBlocks carrying one extent per run.
 type fetch struct {
 	iod  int
 	ch   <-chan rpc.Result
@@ -188,12 +186,9 @@ func (t *CachedTransport) Send(iod int, req wire.Message) (pvfs.ReqID, error) {
 // slice for a plain Read), and the FSM scatters every byte — cache hits,
 // fetch joins, fetched runs — directly into them; the Recv response is
 // then status-only. It declines (ok=false, caller falls back to
-// Send/Recv) when zero-copy is disabled, the message is not a read, or
-// the sink does not tile the request.
+// Send/Recv) when the message is not a read or the sink does not tile the
+// request.
 func (t *CachedTransport) SendRead(iod int, req wire.Message, sink [][]byte) (pvfs.ReqID, bool, error) {
-	if t.m.cfg.DisableZeroCopy {
-		return 0, false, nil
-	}
 	if iod < 0 || iod >= len(t.m.data) {
 		return 0, false, fmt.Errorf("cachemod: iod index %d out of range", iod)
 	}
@@ -272,8 +267,7 @@ func (t *CachedTransport) Close() error {
 // into dst now, an in-flight fetch (another process's miss or a prefetch)
 // becomes a join, and everything else is an owned miss returned to the
 // caller — for the request's one global-cache probe, then fetching.
-// dst is the span's destination — a slice of the caller's buffer on the
-// sink path, of the response buffer otherwise.
+// dst is the span's destination in the request's sink.
 func (t *CachedTransport) classifySpan(iod int, sp blockio.Span, dst []byte, pr *pendingRead, owned []ownedSpan) []ownedSpan {
 	if t.m.buf.ReadSpan(sp.Key, sp.Off, dst) {
 		t.m.notePrefetchHit(sp.Key)
@@ -334,9 +328,7 @@ func (t *CachedTransport) probeGlobalCache(iod int, owned []ownedSpan, pr *pendi
 			served[i] = true
 			t.m.gcHits.Inc()
 		}
-		if mem != nil {
-			mem.release() // the creator's hold
-		}
+		mem.release() // the creator's hold
 	})
 	// A malformed answer was dropped whole: its blocks install nothing
 	// and fall through to the iod fetch.
@@ -353,9 +345,9 @@ func (t *CachedTransport) probeGlobalCache(iod int, owned []ownedSpan, pr *pendi
 
 // issueFetches groups the owned miss spans into runs of consecutive block
 // indices and puts them on the wire: one vectored ReadBlocks carrying
-// every run as an extent (the default), or — with Config.DisableVector —
-// one legacy Read per run. Either way the sub-requests of a request are
-// all in flight before the first response is awaited.
+// every run as an extent, split only where a frame cannot carry more.
+// The sub-requests of a request are all in flight before the first
+// response is awaited.
 func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []ownedSpan, pr *pendingRead) error {
 	if len(owned) == 0 {
 		return nil
@@ -384,30 +376,6 @@ func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []own
 	// necessary.
 	runs = splitRuns(runs, wire.MaxFrameBlocks(bs))
 
-	if t.m.cfg.DisableVector {
-		for i, run := range runs {
-			sub := &wire.Read{
-				Client: t.m.cfg.ClientID,
-				File:   file,
-				Offset: run.firstIdx * int64(bs),
-				Length: int64(len(run.keys)) * int64(bs),
-				Track:  pr.admit != admitNever,
-			}
-			ch, err := t.m.data[iod].Go(sub)
-			if err != nil {
-				t.abortFetches(pr.fetches, err)
-				// The failing run AND the not-yet-issued ones: all their
-				// fetch-table claims must be released, or later readers
-				// of those blocks would wait forever.
-				t.abortRuns(runs[i:], err)
-				return err
-			}
-			pr.fetches = append(pr.fetches, fetch{iod: iod, ch: ch, runs: []fetchRun{run}})
-			t.m.cfg.Registry.Counter("module.read_subrequests").Inc()
-		}
-		return nil
-	}
-
 	for start := 0; start < len(runs); {
 		batch := runs[start : start+1]
 		blocks := len(runs[start].keys)
@@ -430,11 +398,13 @@ func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []own
 		})
 		if err != nil {
 			t.abortFetches(pr.fetches, err)
+			// The failing batch AND the not-yet-issued ones: all their
+			// fetch-table claims must be released, or later readers of
+			// those blocks would wait forever.
 			t.abortRuns(runs[start:], err)
 			return err
 		}
 		pr.fetches = append(pr.fetches, fetch{iod: iod, ch: ch, runs: batch})
-		t.m.cfg.Registry.Counter("module.read_subrequests").Inc()
 		t.m.cfg.Registry.Counter("module.read_vector_fetches").Inc()
 		start += len(batch)
 	}
@@ -479,9 +449,9 @@ func splitRuns(runs []fetchRun, maxBlocks int) []fetchRun {
 // join on an in-flight fetch, or a miss this process must fetch. All the
 // missing runs of the request leave in one vectored sub-request; a cached
 // block in the middle of the request therefore costs an extent boundary,
-// not an extra round trip. With a sink (zero-copy path) every span writes
-// straight into the caller's buffer; otherwise a response buffer is
-// allocated and the response carries it.
+// not an extra round trip. Every span writes straight into its sink
+// slice: the caller's buffer (SendRead), or — sink nil, from Send — one
+// allocated response buffer that the response carries.
 func (t *CachedTransport) sendRead(iod int, req *wire.Read, sink [][]byte) (*pendingOp, error) {
 	// The request length is attacker-controlled at this boundary (the same
 	// hostile-allocation guard the iod and the wire decoders apply):
@@ -500,17 +470,14 @@ func (t *CachedTransport) sendRead(iod int, req *wire.Read, sink [][]byte) (*pen
 		return &pendingOp{ready: &wire.ReadResp{Status: wire.StatusOverload}}, nil
 	}
 	pr := &pendingRead{admit: t.m.readAdmitMode(req.File), qos: qos, qosBlocks: len(spans), trace: rt}
-	var dstBase []byte
-	if sink != nil {
-		pr.sink = true
-		dstBase = sink[0]
-	} else {
+	if sink == nil {
 		pr.result = make([]byte, req.Length)
-		dstBase = pr.result
+		sink = [][]byte{pr.result}
 	}
+	dst := sink[0]
 	var owned []ownedSpan // spans whose fetch this process owns
 	for _, sp := range spans {
-		owned = t.classifySpan(iod, sp, dstBase[sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
+		owned = t.classifySpan(iod, sp, dst[sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
 	}
 	rt.hop("classified: %d spans, %d hits, %d joins, %d misses",
 		len(spans), len(spans)-len(owned)-len(pr.waits), len(pr.waits), len(owned))
@@ -536,8 +503,9 @@ func (t *CachedTransport) sendRead(iod int, req *wire.Read, sink [][]byte) (*pen
 // one ReadBlocks per iod when several striping pieces of an operation land
 // on the same daemon. Every extent's spans classify against the cache
 // exactly as a plain read's do, and whatever is missing across all of
-// them leaves in a single vectored sub-request. sink, when non-nil,
-// carries one destination slice per extent.
+// them leaves in a single vectored sub-request. sink carries one
+// destination slice per extent; nil (from Send) slices one allocated
+// response buffer instead.
 func (t *CachedTransport) sendVectorRead(iod int, req *wire.ReadBlocks, sink [][]byte) (*pendingOp, error) {
 	bs := t.m.buf.BlockSize()
 	total, ok := wire.ValidateExtents(req.Exts)
@@ -570,27 +538,22 @@ func (t *CachedTransport) sendVectorRead(iod int, req *wire.ReadBlocks, sink [][
 		qosBlocks: nblocks,
 		trace:     rt,
 	}
-	if sink != nil {
-		pr.sink = true
-	} else {
+	if sink == nil {
 		pr.result = make([]byte, total)
+		sink = make([][]byte, len(req.Exts))
+		rest := pr.result
+		for i, e := range req.Exts {
+			sink[i], rest = rest[:e.Length], rest[e.Length:]
+		}
 	}
 	var owned []ownedSpan
-	base := int64(0)
 	for i, e := range req.Exts {
 		// The cache serves every requested byte (missing data reads as
 		// zero), so extents complete at full length.
 		pr.lens[i] = uint32(e.Length)
-		var seg []byte
-		if sink != nil {
-			seg = sink[i]
-		} else {
-			seg = pr.result[base : base+e.Length]
-		}
 		for _, sp := range blockio.Spans(req.File, e.Offset, e.Length, bs) {
-			owned = t.classifySpan(iod, sp, seg[sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
+			owned = t.classifySpan(iod, sp, sink[i][sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
 		}
-		base += e.Length
 	}
 	rt.hop("classified: %d extents, %d joins, %d misses", len(req.Exts), len(pr.waits), len(owned))
 	owned = t.probeGlobalCache(iod, owned, pr)
@@ -611,8 +574,8 @@ func (t *CachedTransport) sendVectorRead(iod int, req *wire.ReadBlocks, sink [][
 }
 
 // completeRead waits for the pending transfers, installs fetched blocks in
-// the cache, and assembles the response (status-only in sink mode: the
-// caller's buffers already hold every byte).
+// the cache, and assembles the response (status-only on the SendRead
+// path: the caller's buffers already hold every byte).
 func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	// The request stops being in flight when this returns, success or not:
 	// every fetch has landed or aborted and every join resolved, so the
@@ -694,63 +657,46 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	return &wire.ReadResp{Status: wire.StatusOK, Data: pr.result}, nil
 }
 
-// fillFromResponse installs a fetch's blocks from its response message,
-// publishes them to waiters, and copies the request's spans into their
-// destinations. The response must pair with how the fetch was issued: a
-// ReadBlocksResp with one entry per run for a vectored fetch, a ReadResp
-// for a legacy single-run fetch. Validation runs over every run before
+// fillFromResponse installs a fetch's blocks from its ReadBlocksResp (one
+// entry per run), publishes them to waiters, and copies the request's
+// spans into their destinations. Validation runs over every run before
 // any run is filled, so a hostile response is rejected whole rather than
 // half-published.
 func (t *CachedTransport) fillFromResponse(pr *pendingRead, f fetch, msg wire.Message) error {
-	switch rr := msg.(type) {
-	case *wire.ReadBlocksResp:
-		if rr.Status != wire.StatusOK {
-			if err := rr.Status.Err(); err != nil {
-				return err
-			}
-		}
-		if len(rr.Lens) != len(f.runs) {
-			return fmt.Errorf("cachemod: vectored fetch returned %d extents, want %d", len(rr.Lens), len(f.runs))
-		}
-		bs := t.m.buf.BlockSize()
-		for i, run := range f.runs {
-			// Decode guarantees the lengths tile Data, but only the
-			// requester knows what was asked for: an overlong length
-			// would shift every later run's bytes and poison the shared
-			// cache with misattributed data.
-			if int(rr.Lens[i]) > len(run.keys)*bs {
-				return fmt.Errorf("cachemod: vectored fetch extent %d overlong (%d > %d)",
-					i, int(rr.Lens[i]), len(run.keys)*bs)
-			}
-		}
-		data := rr.Data
-		for i, run := range f.runs {
-			served := int(rr.Lens[i])
-			if err := t.fillRun(f.iod, run, data[:served], pr.admit); err != nil {
-				// fillRun settled its own run's states; the caller's
-				// abortRuns sweep closes the runs that never filled.
-				return err
-			}
-			data = data[served:]
-		}
-		return nil
-	case *wire.ReadResp:
-		if rr.Status != wire.StatusOK {
-			if err := rr.Status.Err(); err != nil {
-				return err
-			}
-		}
-		if len(f.runs) != 1 {
-			return fmt.Errorf("cachemod: single read response for %d runs", len(f.runs))
-		}
-		if len(rr.Data) > len(f.runs[0].keys)*t.m.buf.BlockSize() {
-			return fmt.Errorf("cachemod: fetch response overlong (%d bytes for %d blocks)",
-				len(rr.Data), len(f.runs[0].keys))
-		}
-		return t.fillRun(f.iod, f.runs[0], rr.Data, pr.admit)
-	default:
+	rr, ok := msg.(*wire.ReadBlocksResp)
+	if !ok {
 		return fmt.Errorf("cachemod: fetch failed: %v", msg.WireType())
 	}
+	if rr.Status != wire.StatusOK {
+		if err := rr.Status.Err(); err != nil {
+			return err
+		}
+	}
+	if len(rr.Lens) != len(f.runs) {
+		return fmt.Errorf("cachemod: vectored fetch returned %d extents, want %d", len(rr.Lens), len(f.runs))
+	}
+	bs := t.m.buf.BlockSize()
+	for i, run := range f.runs {
+		// Decode guarantees the lengths tile Data, but only the requester
+		// knows what was asked for: an overlong length would shift every
+		// later run's bytes and poison the shared cache with misattributed
+		// data.
+		if int(rr.Lens[i]) > len(run.keys)*bs {
+			return fmt.Errorf("cachemod: vectored fetch extent %d overlong (%d > %d)",
+				i, int(rr.Lens[i]), len(run.keys)*bs)
+		}
+	}
+	data := rr.Data
+	for i, run := range f.runs {
+		served := int(rr.Lens[i])
+		if err := t.fillRun(f.iod, run, data[:served], pr.admit); err != nil {
+			// fillRun settled its own run's states; the caller's abortRuns
+			// sweep closes the runs that never filled.
+			return err
+		}
+		data = data[served:]
+	}
+	return nil
 }
 
 // fillRun slices one run's bytes into blocks, installs each block in the
@@ -770,9 +716,7 @@ func (t *CachedTransport) fillRun(iod int, run fetchRun, data []byte, admit admi
 	// buffers are read-only slices of it.
 	slab, mem := t.m.getSlab(len(run.keys) * bs)
 	n := copy(slab, data)
-	if mem != nil {
-		zeroFill(slab[n:])
-	}
+	zeroFill(slab[n:])
 	for i, key := range run.keys {
 		blockData := slab[i*bs : (i+1)*bs]
 		st := run.states[i]
@@ -806,9 +750,7 @@ func (t *CachedTransport) fillRun(iod int, run fetchRun, data []byte, admit admi
 					run.states[j].decref()
 				}
 				t.abortRuns([]fetchRun{{keys: run.keys[i:], states: run.states[i:]}}, err)
-				if mem != nil {
-					mem.release()
-				}
+				mem.release()
 				return err
 			}
 		}
@@ -835,9 +777,7 @@ func (t *CachedTransport) fillRun(iod int, run fetchRun, data []byte, admit admi
 	for _, st := range run.states {
 		st.decref()
 	}
-	if mem != nil {
-		mem.release() // the creator's hold
-	}
+	mem.release() // the creator's hold
 	return nil
 }
 

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
+	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/metrics"
 	"pvfscache/internal/pvfs"
@@ -52,13 +54,14 @@ func antagonistRun(t *testing.T, quota float64) (solo, loaded time.Duration, max
 		IODs:        2,
 		ClientNodes: 1,
 		Caching:     true,
-		CacheBlocks: antagCacheBlocks,
-		FlushPeriod: 2 * time.Millisecond,
-		FlushWindow: 1, // serialize flush frames so the brownout paces the drain
-
-		WriteStall:       300 * time.Millisecond,
-		OverloadStall:    5 * time.Millisecond,
-		TenantDirtyQuota: quota,
+		Module: cachemod.Config{
+			Buffer:           buffer.Config{Capacity: antagCacheBlocks},
+			FlushPeriod:      2 * time.Millisecond,
+			WriteStall:       300 * time.Millisecond,
+			OverloadStall:    5 * time.Millisecond,
+			TenantDirtyQuota: quota,
+			FlushWindow:      1, // serialize flush frames so the brownout paces the drain
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

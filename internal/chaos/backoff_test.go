@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/chaos/waitfor"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/pvfs"
@@ -24,9 +25,9 @@ func TestFlushBackoffUnderIODDeath(t *testing.T) {
 		Network:     base,
 		NodeNetwork: func(n int) transport.Network { return ctl.View(nodeOrigin(n)) },
 		Caching:     true,
+		Module:      cachemod.Config{FlushPeriod: 5 * time.Millisecond},
 		ClientNodes: 1,
 		IODs:        2,
-		FlushPeriod: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"pvfscache/internal/cachemod"
 	"pvfscache/internal/chaos/waitfor"
 	"pvfscache/internal/cluster"
+	"pvfscache/internal/globalcache"
 	"pvfscache/internal/pvfs"
 	"pvfscache/internal/transport"
 	"pvfscache/internal/workload"
@@ -211,14 +212,17 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		cleanupData = true
 	}
 
+	mod := cachemod.Config{FlushPeriod: cfg.FlushPeriod}
+	if cfg.GlobalCache {
+		mod.GlobalCache = &globalcache.Options{}
+	}
 	cl, err := cluster.Start(cluster.Config{
 		Network:     base,
 		NodeNetwork: func(node int) transport.Network { return ctl.View(nodeOrigin(node)) },
 		IODs:        cfg.IODs,
 		ClientNodes: spec.Params.Nodes,
 		Caching:     true,
-		GlobalCache: cfg.GlobalCache,
-		FlushPeriod: cfg.FlushPeriod,
+		Module:      mod,
 		Backend:     backend,
 		DataDir:     dataDir,
 	})

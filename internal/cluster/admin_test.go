@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/pvfs"
 )
 
@@ -42,8 +43,10 @@ func TestAdminScrapeE2E(t *testing.T) {
 		IODs:        2,
 		ClientNodes: 1,
 		Caching:     true,
-		FlushPeriod: time.Hour, // keep dirty residency visible at scrape time
-		AdminAddr:   "127.0.0.1:0",
+		Module: cachemod.Config{
+			FlushPeriod: time.Hour, // keep dirty residency visible at scrape time
+		},
+		AdminAddr: "127.0.0.1:0",
 	})
 	if err != nil {
 		if strings.Contains(err.Error(), "admin endpoint") {

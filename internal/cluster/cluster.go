@@ -14,8 +14,6 @@ import (
 
 	"pvfscache/internal/admin"
 	"pvfscache/internal/cachemod"
-	"pvfscache/internal/cachemod/buffer"
-	"pvfscache/internal/globalcache"
 	"pvfscache/internal/iod"
 	"pvfscache/internal/metrics"
 	"pvfscache/internal/mgr"
@@ -47,69 +45,21 @@ type Config struct {
 	// Caching enables the per-node cache module — the paper's "caching
 	// version". When false the cluster behaves like original PVFS.
 	Caching bool
-	// BlockSize is the cache block size (default 4 KB).
-	BlockSize int
-	// CacheBlocks is the per-node cache capacity in blocks (default 300,
-	// i.e. the paper's 1.2 MB).
-	CacheBlocks int
-	// CacheShards is the number of lock stripes in each node's buffer
-	// manager (see buffer.Config.Shards: 0 picks a power of two ≥
-	// GOMAXPROCS; 1 is the single-mutex ablation baseline).
-	CacheShards int
-	// FlushPeriod overrides the flush streams' interval (default 1s;
-	// tests use shorter).
-	FlushPeriod time.Duration
-	// FlushStreams bounds how many per-iod flush streams drain
-	// concurrently in each cache module (default: all iods in parallel;
-	// 1 = the serial pre-pipeline drain, for ablation). See
-	// cachemod.Config.FlushStreams.
-	FlushStreams int
-	// FlushWindow is each flush stream's bound on concurrent Flush
-	// frames in flight (default 4; 1 = one blocking round trip at a
-	// time, for ablation). See cachemod.Config.FlushWindow.
-	FlushWindow int
-	// Policy selects the replacement policy (default clock).
-	Policy buffer.Policy
-	// GhostFrac sizes each cache shard's ghost list as a fraction of its
-	// capacity under the ghost policy (0 = default 1.0; negative disables
-	// the ghost history). See buffer.Config.GhostFrac.
-	GhostFrac float64
-	// BypassThreshold is the sequential-streak length at which detected
-	// streaming reads stop being admitted to the cache and are served
-	// read-around instead (0 = disabled; per-open cache-policy hints
-	// override it either way). See cachemod.Config.BypassThreshold.
-	BypassThreshold int
-	// DisableCoherence turns off invalidation listeners and registration.
-	DisableCoherence bool
-	// GlobalCache enables the cooperative global cache extension: node
-	// caches serve each other misses before the iods are consulted. Each
-	// module joins the mgr's epoch-versioned membership view, so nodes
-	// added later (AddCacheNode) enter the ring live.
-	GlobalCache bool
-	// GCReplicas is how many ring members may hold a block's pushed copy
-	// (0 = membership.DefaultReplicas). Reads fail over along this set.
-	GCReplicas int
-	// GCVNodes is the virtual nodes per member on the global-cache ring
-	// (0 = membership.DefaultVNodes).
-	GCVNodes int
-	// RPCConns is the rpc connection-pool size each cache module keeps
-	// per iod port (default rpc.DefaultConns). Raise it when many
-	// processes per node keep independent requests in flight.
-	RPCConns int
-	// ReadaheadWindow is the cache modules' sequential-readahead depth in
-	// blocks (default 8; negative disables readahead).
-	ReadaheadWindow int
-	// DisableVector reverts the cache modules to the legacy one-Read-per-
-	// run miss path (ablation benchmarks).
-	DisableVector bool
-	// DisableZeroCopy reverts the cache modules to the copying data path:
-	// response buffers are freshly allocated and copied into the caller's
-	// memory instead of leased from pools and scattered directly (ablation
-	// benchmarks).
-	DisableZeroCopy bool
+	// Module is the template each node's cache module is built from; see
+	// cachemod.Config for every knob and its default. The cluster fills
+	// in the per-node wiring — Network, ClientID, the iod addresses,
+	// Registry, and GlobalCache.SelfID/MgrAddr — so a template sets knobs
+	// only. A non-nil Module.GlobalCache turns on the cooperative global
+	// cache: node caches serve each other misses before the iods are
+	// consulted, and each module joins the mgr's epoch-versioned
+	// membership view, so nodes added later (AddCacheNode) enter the ring
+	// live. The iods use Module.Buffer.BlockSize (0 = 4 KB). Quotas
+	// (TenantDirtyQuota) must stay off for oracle-checked chaos runs,
+	// which assume no op errors without injected faults.
+	Module cachemod.Config
 	// Backend selects the iods' storage engine: "" or "mem" for the
-	// in-memory simdisk store, "disk" for the WAL-backed on-disk engine
-	// (requires DataDir).
+	// in-memory store (storage/mem), "disk" for the WAL-backed on-disk
+	// engine (requires DataDir).
 	Backend string
 	// DataDir is the disk backend's root; each iod gets an `iod<N>`
 	// subdirectory. Required when Backend is "disk". A directory left by
@@ -121,21 +71,6 @@ type Config struct {
 	// FsyncInterval bounds the power-loss window under Fsync="interval"
 	// (default 100ms).
 	FsyncInterval time.Duration
-	// WriteStall bounds how long a buffered write blocks waiting for cache
-	// space before falling back to write-through (0 = cachemod default 2s).
-	WriteStall time.Duration
-	// TenantDirtyQuota bounds each tagged tenant's share of a node cache's
-	// dirty frames; over-quota buffered writes shed with StatusOverload.
-	// 0 (the default) disables quotas — required for oracle-checked chaos
-	// runs, which assume no op errors without injected faults. See
-	// cachemod.Config.TenantDirtyQuota.
-	TenantDirtyQuota float64
-	// TenantFetchBudget bounds each tagged tenant's in-flight read blocks
-	// per node (0 = unlimited). See cachemod.Config.TenantFetchBudget.
-	TenantFetchBudget int
-	// OverloadStall is how long an over-quota write waits for flush
-	// progress before shedding (0 = cachemod default).
-	OverloadStall time.Duration
 	// AdminAddr, when non-empty, starts one admin HTTP endpoint (metrics,
 	// pprof, trace mode; see internal/admin) per caching client node on a
 	// real TCP socket — even when the cluster itself runs the in-memory
@@ -253,7 +188,7 @@ func Start(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: iod %d backend: %w", i, err)
 		}
 		c.Backends = append(c.Backends, be)
-		d := iod.NewWithBackend(i, cfg.BlockSize, cfg.Network, cfg.Registry, be)
+		d := iod.NewWithBackend(i, cfg.Module.Buffer.BlockSize, cfg.Network, cfg.Registry, be)
 		c.IODs = append(c.IODs, d)
 		dl, err := cfg.Network.Listen(":0")
 		if err != nil {
@@ -328,43 +263,20 @@ func (c *Cluster) startAdmin(node int, mod *cachemod.Module) error {
 	return nil
 }
 
-// moduleConfig builds the cache-module config for one client node.
+// moduleConfig builds the cache-module config for one client node: the
+// Module template plus the node's wiring.
 func (c *Cluster) moduleConfig(node int) cachemod.Config {
-	cfg := c.cfg
-	mc := cachemod.Config{
-		Network:         c.nodeNetwork(node),
-		ClientID:        uint32(node + 1),
-		IODDataAddrs:    c.IODDataAddrs,
-		IODFlushAddrs:   c.IODFlushAddrs,
-		RPCConns:        cfg.RPCConns,
-		ReadaheadWindow: cfg.ReadaheadWindow,
-		BypassThreshold: cfg.BypassThreshold,
-		DisableVector:   cfg.DisableVector,
-		DisableZeroCopy: cfg.DisableZeroCopy,
-		Buffer: buffer.Config{
-			BlockSize: cfg.BlockSize,
-			Capacity:  cfg.CacheBlocks,
-			Shards:    cfg.CacheShards,
-			Policy:    cfg.Policy,
-			GhostFrac: cfg.GhostFrac,
-		},
-		FlushPeriod:       cfg.FlushPeriod,
-		FlushStreams:      cfg.FlushStreams,
-		FlushWindow:       cfg.FlushWindow,
-		WriteStall:        cfg.WriteStall,
-		TenantDirtyQuota:  cfg.TenantDirtyQuota,
-		TenantFetchBudget: cfg.TenantFetchBudget,
-		OverloadStall:     cfg.OverloadStall,
-		DisableCoherence:  cfg.DisableCoherence,
-		Registry:          cfg.Registry,
-	}
-	if cfg.GlobalCache {
-		mc.GlobalCache = &globalcache.Options{
-			SelfID:   uint32(node),
-			MgrAddr:  c.MgrAddr,
-			Replicas: cfg.GCReplicas,
-			VNodes:   cfg.GCVNodes,
-		}
+	mc := c.cfg.Module
+	mc.Network = c.nodeNetwork(node)
+	mc.ClientID = uint32(node + 1)
+	mc.IODDataAddrs = c.IODDataAddrs
+	mc.IODFlushAddrs = c.IODFlushAddrs
+	mc.Registry = c.Reg
+	if mc.GlobalCache != nil {
+		gc := *mc.GlobalCache // per-node copy: the template is shared
+		gc.SelfID = uint32(node)
+		gc.MgrAddr = c.MgrAddr
+		mc.GlobalCache = &gc
 	}
 	return mc
 }
@@ -465,7 +377,7 @@ func (c *Cluster) RestartIOD(i int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: iod %d restart backend: %w", i, err)
 	}
-	d := iod.NewWithBackend(i, c.cfg.BlockSize, c.Network, c.Reg, be)
+	d := iod.NewWithBackend(i, c.cfg.Module.Buffer.BlockSize, c.Network, c.Reg, be)
 	dl, err := c.Network.Listen(c.IODDataAddrs[i])
 	if err != nil {
 		be.Close()
@@ -527,7 +439,7 @@ func (c *Cluster) RejoinIOD(i int) error {
 	if i < 0 || i >= len(c.IODs) {
 		return fmt.Errorf("cluster: iod %d out of range", i)
 	}
-	d := iod.NewWithBackend(i, c.cfg.BlockSize, c.Network, c.Reg, c.Backends[i])
+	d := iod.NewWithBackend(i, c.cfg.Module.Buffer.BlockSize, c.Network, c.Reg, c.Backends[i])
 	dl, err := c.Network.Listen(c.IODDataAddrs[i])
 	if err != nil {
 		return fmt.Errorf("cluster: iod %d data re-listen: %w", i, err)

@@ -9,14 +9,16 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
+	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/chaos/waitfor"
 	"pvfscache/internal/pvfs"
 )
 
 func startTest(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
-	if cfg.FlushPeriod == 0 {
-		cfg.FlushPeriod = 20 * time.Millisecond
+	if cfg.Module.FlushPeriod == 0 {
+		cfg.Module.FlushPeriod = 20 * time.Millisecond
 	}
 	c, err := Start(cfg)
 	if err != nil {
@@ -176,7 +178,7 @@ func TestReadPastEOF(t *testing.T) {
 func TestDurabilityViaFlusher(t *testing.T) {
 	// Write through the cache, wait for the background flusher (no manual
 	// FlushAll), then read directly from the iod stores.
-	c := startTest(t, Config{IODs: 2, ClientNodes: 1, Caching: true, FlushPeriod: 10 * time.Millisecond})
+	c := startTest(t, Config{IODs: 2, ClientNodes: 1, Caching: true, Module: cachemod.Config{FlushPeriod: 10 * time.Millisecond}})
 	p, _ := c.NewProcess(0)
 	defer p.Close()
 	f, err := p.Create("durable.dat", pvfs.StripeSpec{PCount: 1, SSize: 64 << 10})
@@ -365,7 +367,7 @@ func TestSyncWriteInvalidatesRemoteCache(t *testing.T) {
 func TestLocalityZeroStillCorrect(t *testing.T) {
 	// A workload with no reuse (every block read once) must return correct
 	// data through the caching path.
-	c := startTest(t, Config{IODs: 2, ClientNodes: 1, Caching: true, CacheBlocks: 16})
+	c := startTest(t, Config{IODs: 2, ClientNodes: 1, Caching: true, Module: cachemod.Config{Buffer: buffer.Config{Capacity: 16}}})
 	p, _ := c.NewProcess(0)
 	defer p.Close()
 	f, err := p.Create("stream.dat", pvfs.StripeSpec{})
@@ -486,7 +488,7 @@ func TestCachingOverTCP(t *testing.T) {
 		IODs:        2,
 		ClientNodes: 1,
 		Caching:     true,
-		FlushPeriod: 20 * time.Millisecond,
+		Module:      cachemod.Config{FlushPeriod: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("tcp cluster: %v", err)

@@ -17,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
+	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/pvfs"
 	"pvfscache/internal/testseed"
 )
@@ -43,9 +45,13 @@ func runConsistencyOracleCfg(t *testing.T, shards int, seed int64, edit func(*Co
 		IODs:        3, // odd iod count exercises uneven striping
 		ClientNodes: 1,
 		Caching:     true,
-		CacheBlocks: 48, // 192 KB cache against a 1 MB file: heavy eviction
-		CacheShards: shards,
-		FlushPeriod: 5 * time.Millisecond,
+		Module: cachemod.Config{
+			Buffer: buffer.Config{
+				Capacity: 48, // 192 KB cache against a 1 MB file: heavy eviction
+				Shards:   shards,
+			},
+			FlushPeriod: 5 * time.Millisecond,
+		},
 	}
 	if edit != nil {
 		edit(&cfg)

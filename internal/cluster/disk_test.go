@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
+	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/pvfs"
 	"pvfscache/internal/storage/disk"
 	"pvfscache/internal/testseed"
@@ -55,10 +57,12 @@ func TestDiskClusterCrashRestartDurability(t *testing.T) {
 		IODs:        3,
 		ClientNodes: 1,
 		Caching:     true,
-		CacheBlocks: 64,
-		FlushPeriod: time.Hour, // only FlushAll drains
-		Backend:     "disk",
-		DataDir:     dir,
+		Module: cachemod.Config{
+			Buffer:      buffer.Config{Capacity: 64},
+			FlushPeriod: time.Hour, // only FlushAll drains
+		},
+		Backend: "disk",
+		DataDir: dir,
 	})
 	p, err := c.NewProcess(0)
 	if err != nil {
@@ -132,7 +136,7 @@ func TestRestartIODServesNewWrites(t *testing.T) {
 		IODs:        2,
 		ClientNodes: 1,
 		Caching:     true,
-		FlushPeriod: time.Hour,
+		Module:      cachemod.Config{FlushPeriod: time.Hour},
 		Backend:     "disk",
 		DataDir:     t.TempDir(),
 	})

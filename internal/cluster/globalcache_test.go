@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/chaos/waitfor"
+	"pvfscache/internal/globalcache"
 	"pvfscache/internal/pvfs"
 )
 
@@ -17,7 +19,9 @@ func TestGlobalCacheServesRemoteMisses(t *testing.T) {
 		IODs:        2,
 		ClientNodes: 2,
 		Caching:     true,
-		GlobalCache: true,
+		Module: cachemod.Config{
+			GlobalCache: &globalcache.Options{},
+		},
 	})
 	seed, _ := c.NewProcess(0)
 	f, err := seed.Create("gc.dat", pvfs.StripeSpec{})

@@ -6,6 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
+	"pvfscache/internal/cachemod/buffer"
+	"pvfscache/internal/globalcache"
 	"pvfscache/internal/pvfs"
 	"pvfscache/internal/rpc"
 	"pvfscache/internal/wire"
@@ -230,11 +233,15 @@ func runLeaseStorm(t *testing.T, cfg Config) {
 // many processes, cache 16x smaller than the file, readahead on.
 func TestLeaseLifetimesUnderPoison(t *testing.T) {
 	runLeaseStorm(t, Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     32, // 128 KB vs a 2 MB working set: constant recycling
-		ReadaheadWindow: 16,
+		IODs:        4,
+		ClientNodes: 1,
+		Caching:     true,
+		Module: cachemod.Config{
+			Buffer: buffer.Config{
+				Capacity: 32, // 128 KB vs a 2 MB working set: constant recycling
+			},
+			ReadaheadWindow: 16,
+		},
 	})
 }
 
@@ -243,25 +250,13 @@ func TestLeaseLifetimesUnderPoison(t *testing.T) {
 // recycle under the same poison oracle.
 func TestLeaseLifetimesGlobalCachePoison(t *testing.T) {
 	runLeaseStorm(t, Config{
-		IODs:            2,
-		ClientNodes:     2,
-		Caching:         true,
-		CacheBlocks:     64,
-		GlobalCache:     true,
-		ReadaheadWindow: 8,
-	})
-}
-
-// TestLeaseStormCopyingAblation runs the same storm with DisableZeroCopy:
-// the copying baseline must obviously pass too, and the pair pins the two
-// paths to identical observable behaviour.
-func TestLeaseStormCopyingAblation(t *testing.T) {
-	runLeaseStorm(t, Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     32,
-		ReadaheadWindow: 16,
-		DisableZeroCopy: true,
+		IODs:        2,
+		ClientNodes: 2,
+		Caching:     true,
+		Module: cachemod.Config{
+			Buffer:          buffer.Config{Capacity: 64},
+			ReadaheadWindow: 8,
+			GlobalCache:     &globalcache.Options{},
+		},
 	})
 }

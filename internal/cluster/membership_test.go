@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/chaos/waitfor"
+	"pvfscache/internal/globalcache"
 	"pvfscache/internal/pvfs"
 )
 
@@ -19,7 +21,9 @@ func TestDrainIODZeroDirtyHolders(t *testing.T) {
 		IODs:        2,
 		ClientNodes: 2,
 		Caching:     true,
-		FlushPeriod: time.Hour, // nothing drains unless the drain kicks it
+		Module: cachemod.Config{
+			FlushPeriod: time.Hour, // nothing drains unless the drain kicks it
+		},
 	})
 	p0, err := c.NewProcess(0)
 	if err != nil {
@@ -116,7 +120,9 @@ func TestGlobalCacheJoinSpreadsLoad(t *testing.T) {
 		IODs:        2,
 		ClientNodes: 2,
 		Caching:     true,
-		GlobalCache: true,
+		Module: cachemod.Config{
+			GlobalCache: &globalcache.Options{},
+		},
 	})
 	ringsConverged := func(members int) bool {
 		for node := 0; node < len(c.Modules); node++ {

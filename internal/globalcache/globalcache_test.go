@@ -393,10 +393,10 @@ func TestOversizedPeerPutRejected(t *testing.T) {
 	defer conn.Close()
 	entries := []wire.PeerPutEntry{{File: 1, Index: 0}, {File: 1, Index: 1}}
 	for _, size := range []int{2*testBlock + 2, 4 * testBlock, testBlock} {
-		if err := wire.WriteMessage(conn, &wire.PeerPut{Entries: entries, Data: make([]byte, size)}); err != nil {
+		if err := wire.WriteTagged(conn, 1, &wire.PeerPut{Entries: entries, Data: make([]byte, size)}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := wire.ReadMessage(conn)
+		_, resp, err := wire.ReadFrame(conn)
 		if err != nil {
 			t.Fatalf("%d bytes for 2 entries: %v", size, err)
 		}
@@ -423,10 +423,10 @@ func TestOversizedPeerGetRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	idx := make([]int64, wire.MaxFrameBlocks(testBlock)+1)
-	if err := wire.WriteMessage(conn, &wire.PeerGet{File: 1, Indexes: idx}); err != nil {
+	if err := wire.WriteTagged(conn, 1, &wire.PeerGet{File: 1, Indexes: idx}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.ReadMessage(conn)
+	_, resp, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}

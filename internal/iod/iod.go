@@ -1,12 +1,11 @@
 // Package iod implements the PVFS I/O daemon: the per-node data server
 // that stores file strips and answers read/write requests from libpvfs
 // clients. Requests arrive through the shared rpc core (internal/rpc), so
-// tagged clients get concurrent, out-of-order service while legacy peers
-// fall back to FIFO. Besides plain reads, the data port serves vectored
-// reads (wire.ReadBlocks): all requested extents of a connection's
-// request in one pass, packed into a single pooled buffer that is
-// recycled once the response hits the wire. In addition, the daemon
-// carries the two server-side pieces the paper adds:
+// clients get concurrent, out-of-order service. Besides plain reads, the
+// data port serves vectored reads (wire.ReadBlocks): all requested
+// extents of a connection's request in one pass, packed into a single
+// pooled buffer that is recycled once the response hits the wire. In
+// addition, the daemon carries the two server-side pieces the paper adds:
 //
 //   - a separate flush port, served by the "server version of the flusher
 //     thread", which accepts batched dirty-block flushes from the per-node
@@ -110,10 +109,9 @@ func (s *Server) ServeData(l transport.Listener) error { return s.serve(l, s.han
 // This is the server half of the flusher protocol.
 func (s *Server) ServeFlush(l transport.Listener) error { return s.serve(l, s.handleFlush) }
 
-// serve runs one rpc.Server over the listener. Tagged clients (the cache
-// modules and libpvfs) get concurrent out-of-order service; untagged
-// legacy clients are served FIFO. Read buffers return to the pool once
-// each response hits the wire.
+// serve runs one rpc.Server over the listener: clients (the cache modules
+// and libpvfs) get concurrent out-of-order service. Read buffers return
+// to the pool once each response hits the wire.
 func (s *Server) serve(l transport.Listener, handler func(wire.Message) wire.Message) error {
 	srv := rpc.NewServer(rpc.HandlerFunc(handler), rpc.ServerConfig{
 		AfterWrite: s.recycleReadBuf,
@@ -270,7 +268,7 @@ func (s *Server) readBlocks(m *wire.ReadBlocks) *wire.ReadBlocksResp {
 func (s *Server) write(m *wire.Write) *wire.WriteAck {
 	// The ack is the durability promise: a backend failure must surface as
 	// a non-OK status, never as an OK for bytes that were not stored (the
-	// seed's silent-data-loss bug — simdisk could not fail, so no error
+	// seed's silent-data-loss bug — its store could not fail, so no error
 	// path existed).
 	if err := s.store.WriteAt(m.File, m.Offset, m.Data); err != nil {
 		s.reg.Counter("iod.io_errors").Inc()
@@ -292,8 +290,8 @@ func (s *Server) write(m *wire.Write) *wire.WriteAck {
 // frames from one client in flight concurrently, and rpc.Server serves
 // them on parallel goroutines. Within one window that is safe: the runs
 // are disjoint (the buffer manager's in-flight mark prevents a block
-// from being taken twice), simdisk.Store serializes per-file writes
-// internally, and the directory update takes s.mu. Delivery is
+// from being taken twice), the storage backend serializes per-file
+// writes internally, and the directory update takes s.mu. Delivery is
 // at-least-once — a frame whose ack is lost is re-sent after its blocks
 // re-queue — and re-applying a frame is idempotent. The retry boundary
 // is where a residual ordering race lives (inherited from the seed's
@@ -517,10 +515,9 @@ func (s *Server) invalClientFor(client uint32) (*rpc.Client, error) {
 		if s.network == nil {
 			return nil, fmt.Errorf("iod %d: no network to reach client %d", s.id, client)
 		}
-		// Invalidations are one serial round trip per victim, so the
-		// untagged compat mode costs nothing and keeps legacy
-		// invalidation listeners reachable.
-		rc = rpc.NewClient(rpc.ClientConfig{Network: s.network, Addr: addr, Conns: 1, Untagged: true})
+		// Invalidations are one serial round trip per victim, so one
+		// connection suffices.
+		rc = rpc.NewClient(rpc.ClientConfig{Network: s.network, Addr: addr, Conns: 1})
 		s.inval[client] = rc
 	}
 	return rc, nil

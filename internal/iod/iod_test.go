@@ -32,10 +32,10 @@ func testDaemon(t *testing.T) (*Server, transport.Network, string, string) {
 
 func call(t *testing.T, conn transport.Conn, req wire.Message) wire.Message {
 	t.Helper()
-	if err := wire.WriteMessage(conn, req); err != nil {
+	if err := wire.WriteTagged(conn, 1, req); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.ReadMessage(conn)
+	_, resp, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +195,10 @@ func TestFlushPortRejectsDataMessages(t *testing.T) {
 	_, net, _, flush := testDaemon(t)
 	conn, _ := net.Dial(flush)
 	defer conn.Close()
-	if err := wire.WriteMessage(conn, &wire.Read{File: 1, Length: 4}); err != nil {
+	if err := wire.WriteTagged(conn, 1, &wire.Read{File: 1, Length: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadMessage(conn); err == nil {
+	if _, _, err := wire.ReadFrame(conn); err == nil {
 		t.Fatal("flush port served a data message")
 	}
 }
@@ -245,7 +245,7 @@ func invalListener(t *testing.T, net transport.Network, addr string) *[]int64 {
 			go func() {
 				defer conn.Close()
 				for {
-					msg, err := wire.ReadMessage(conn)
+					tag, msg, err := wire.ReadFrame(conn)
 					if err != nil {
 						return
 					}
@@ -254,7 +254,7 @@ func invalListener(t *testing.T, net transport.Network, addr string) *[]int64 {
 						return
 					}
 					got = append(got, inv.Indices...)
-					if err := wire.WriteMessage(conn, &wire.InvalidAck{Status: wire.StatusOK}); err != nil {
+					if err := wire.WriteTagged(conn, tag, &wire.InvalidAck{Status: wire.StatusOK}); err != nil {
 						return
 					}
 				}

@@ -217,10 +217,10 @@ func TestServeOverNetwork(t *testing.T) {
 
 	call := func(req wire.Message) wire.Message {
 		t.Helper()
-		if err := wire.WriteMessage(conn, req); err != nil {
+		if err := wire.WriteTagged(conn, 1, req); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := wire.ReadMessage(conn)
+		_, resp, err := wire.ReadFrame(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,10 +272,10 @@ func TestServeDropsConnOnGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A data-port message is not served by mgr: connection closes.
-	if err := wire.WriteMessage(conn, &wire.Read{File: 1, Length: 4}); err != nil {
+	if err := wire.WriteTagged(conn, 1, &wire.Read{File: 1, Length: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadMessage(conn); err == nil {
+	if _, _, err := wire.ReadFrame(conn); err == nil {
 		t.Fatal("expected connection drop on non-mgr message")
 	}
 	conn.Close()
@@ -285,10 +285,10 @@ func TestServeDropsConnOnGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	if err := wire.WriteMessage(conn2, &wire.List{}); err != nil {
+	if err := wire.WriteTagged(conn2, 1, &wire.List{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadMessage(conn2); err != nil {
+	if _, _, err := wire.ReadFrame(conn2); err != nil {
 		t.Fatalf("server died after bad client: %v", err)
 	}
 }

@@ -13,11 +13,6 @@
 //     bounded per-connection worker concurrency, replacing the hand-rolled
 //     loops in internal/iod, internal/mgr, and internal/globalcache.
 //
-// Compatibility: an untagged (legacy) peer never sets the tag bit, and
-// Server falls back to serial FIFO service on such connections. Client can
-// likewise be configured Untagged to speak the legacy FIFO protocol to an
-// old server.
-//
 // Buffers move zero-copy: requests and responses are decoded with their
 // bulk payload fields aliasing the connection's pooled frame buffer. On
 // the server the frame is released when the Handler returns (handlers
@@ -69,10 +64,6 @@ type ClientConfig struct {
 	Addr string
 	// Conns is the connection-pool size (default DefaultConns).
 	Conns int
-	// Untagged selects the legacy FIFO protocol: requests carry no tag and
-	// responses must arrive in request order on each connection. Use it to
-	// talk to servers that predate tagged framing.
-	Untagged bool
 	// CallTimeout bounds each synchronous Call round trip (zero = no
 	// bound). On expiry the connection the request rode is torn down —
 	// every waiter on it fails with ErrCallTimeout and the next call
@@ -117,8 +108,7 @@ type clientConn struct {
 	mu       sync.Mutex
 	conn     transport.Conn
 	err      error                  // sticky until the next call redials
-	pending  map[uint64]chan Result // tag -> waiter (tagged mode)
-	fifo     []chan Result          // waiters in request order (untagged mode)
+	pending  map[uint64]chan Result // tag -> waiter
 	inflight int
 	nextTag  uint64
 }
@@ -305,35 +295,24 @@ func (cc *clientConn) send(req wire.Message) (<-chan Result, transport.Conn, err
 		cc.conn = conn
 		cc.err = nil
 		cc.pending = make(map[uint64]chan Result)
-		cc.fifo = nil
 		go cc.readLoop(conn)
 	}
 	conn := cc.conn
-	var tag uint64
-	if cc.client.cfg.Untagged {
-		// writeMu makes registration order equal write order, which the
-		// FIFO protocol requires.
-		cc.fifo = append(cc.fifo, ch)
-	} else {
-		cc.nextTag++
-		tag = cc.nextTag
-		cc.pending[tag] = ch
-	}
+	cc.nextTag++
+	tag := cc.nextTag
+	cc.pending[tag] = ch
 	cc.inflight++
 	cc.mu.Unlock()
 
-	var werr error
-	if cc.client.cfg.Untagged {
-		werr = wire.WriteMessage(conn, req)
-	} else {
-		werr = wire.WriteTagged(conn, tag, req)
-	}
-	if werr != nil {
+	if werr := wire.WriteTagged(conn, tag, req); werr != nil {
 		cc.mu.Lock()
 		if errors.Is(werr, wire.ErrTooLarge) {
 			// Encode-side rejection: no byte reached the wire, the
 			// connection is still aligned. Withdraw only this waiter.
-			cc.withdrawLocked(tag, ch)
+			if cc.pending[tag] == ch {
+				delete(cc.pending, tag)
+				cc.inflight--
+			}
 		} else if cc.conn == conn {
 			cc.failLocked(werr)
 		}
@@ -343,28 +322,11 @@ func (cc *clientConn) send(req wire.Message) (<-chan Result, transport.Conn, err
 	return ch, conn, nil
 }
 
-// withdrawLocked removes a waiter whose request never hit the wire. In
-// untagged mode the waiter is the fifo tail: writeMu is still held, so no
-// later registration can have happened.
-func (cc *clientConn) withdrawLocked(tag uint64, ch chan Result) {
-	if cc.client.cfg.Untagged {
-		if n := len(cc.fifo); n > 0 && cc.fifo[n-1] == ch {
-			cc.fifo = cc.fifo[:n-1]
-			cc.inflight--
-		}
-		return
-	}
-	if cc.pending[tag] == ch {
-		delete(cc.pending, tag)
-		cc.inflight--
-	}
-}
-
 // readLoop demultiplexes responses from conn to their waiters until the
 // connection fails or is replaced.
 func (cc *clientConn) readLoop(conn transport.Conn) {
 	for {
-		tag, tagged, msg, payload, err := wire.ReadFrameAliased(conn)
+		tag, msg, payload, err := wire.ReadFrameAliased(conn)
 		cc.mu.Lock()
 		if cc.conn != conn {
 			// A newer connection replaced this one; stop quietly.
@@ -377,32 +339,14 @@ func (cc *clientConn) readLoop(conn transport.Conn) {
 			cc.mu.Unlock()
 			return
 		}
-		var ch chan Result
-		if cc.client.cfg.Untagged {
-			if tagged || len(cc.fifo) == 0 {
-				cc.failLocked(fmt.Errorf("rpc: unsolicited %v from %s", msg.WireType(), cc.client.cfg.Addr))
-				cc.mu.Unlock()
-				wire.ReleasePayload(payload)
-				return
-			}
-			ch = cc.fifo[0]
-			cc.fifo = cc.fifo[1:]
-		} else {
-			if !tagged {
-				cc.failLocked(fmt.Errorf("rpc: untagged %v from tagged peer %s", msg.WireType(), cc.client.cfg.Addr))
-				cc.mu.Unlock()
-				wire.ReleasePayload(payload)
-				return
-			}
-			ch = cc.pending[tag]
-			if ch == nil {
-				cc.failLocked(fmt.Errorf("rpc: unknown response tag %d from %s", tag, cc.client.cfg.Addr))
-				cc.mu.Unlock()
-				wire.ReleasePayload(payload)
-				return
-			}
-			delete(cc.pending, tag)
+		ch := cc.pending[tag]
+		if ch == nil {
+			cc.failLocked(fmt.Errorf("rpc: unknown response tag %d from %s", tag, cc.client.cfg.Addr))
+			cc.mu.Unlock()
+			wire.ReleasePayload(payload)
+			return
 		}
+		delete(cc.pending, tag)
 		cc.inflight--
 		cc.mu.Unlock()
 		cc.client.noteSuccess()
@@ -425,10 +369,6 @@ func (cc *clientConn) failLocked(err error) {
 	for _, ch := range cc.pending {
 		ch <- Result{Err: err}
 	}
-	for _, ch := range cc.fifo {
-		ch <- Result{Err: err}
-	}
 	cc.pending = nil
-	cc.fifo = nil
 	cc.inflight = 0
 }

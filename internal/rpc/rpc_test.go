@@ -190,50 +190,41 @@ func TestRedialAfterPeerCrash(t *testing.T) {
 	t.Fatalf("client never recovered after peer revival: %v", lastErr)
 }
 
-// TestUntaggedCompatMode runs the client in legacy FIFO mode against the
-// server, which must answer untagged frames in request order.
-func TestUntaggedCompatMode(t *testing.T) {
-	net := transport.NewMem()
-	_, addr := startServer(t, net, echoHandler(), ServerConfig{})
-	c := NewClient(ClientConfig{Network: net, Addr: addr, Conns: 1, Untagged: true})
-	defer c.Close()
-	var chans []<-chan Result
-	for i := 0; i < 8; i++ {
-		ch, err := c.Go(&wire.Read{Offset: int64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans = append(chans, ch)
-	}
-	for i, ch := range chans {
-		if got := echoed(t, <-ch); got != int64(i) {
-			t.Fatalf("FIFO response %d echoed %d", i, got)
-		}
-	}
-}
-
-// TestLegacyRawClient drives the server with bare wire.WriteMessage /
-// ReadMessage calls — the exact protocol the seed's clients spoke.
+// TestLegacyRawClient writes a tagless frame — the shape the seed's
+// clients spoke — to the server: it must close the connection without
+// answering or calling the handler.
 func TestLegacyRawClient(t *testing.T) {
 	net := transport.NewMem()
-	_, addr := startServer(t, net, echoHandler(), ServerConfig{})
+	var calls atomic.Int64
+	h := HandlerFunc(func(m wire.Message) wire.Message {
+		calls.Add(1)
+		return echoHandler().Handle(m)
+	})
+	_, addr := startServer(t, net, h, ServerConfig{})
 	conn, err := net.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for i := 0; i < 4; i++ {
-		if err := wire.WriteMessage(conn, &wire.Read{Offset: int64(i)}); err != nil {
-			t.Fatal(err)
+	if _, err := conn.Write(wire.Marshal(&wire.Read{Offset: 1})); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		var b [1]byte
+		_, err := conn.Read(b[:])
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("server answered a tagless frame")
 		}
-		m, err := wire.ReadMessage(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr := m.(*wire.ReadResp)
-		if int64(binary.BigEndian.Uint64(rr.Data)) != int64(i) {
-			t.Fatalf("legacy round trip %d: wrong echo", i)
-		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server kept the connection open after a tagless frame")
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("handler ran %d times for a tagless frame", n)
 	}
 }
 

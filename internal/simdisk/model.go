@@ -1,3 +1,7 @@
+// Package simdisk is the discrete-event simulator's disk: a
+// seek/rotation/transfer-rate timing model calibrated to the paper's
+// 20 GB IDE drives. It charges access times only; the bytes an iod
+// stores live in a storage.Backend (see internal/storage/mem).
 package simdisk
 
 import (

@@ -1,130 +1,9 @@
 package simdisk
 
 import (
-	"bytes"
-	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestStoreReadWriteRoundTrip(t *testing.T) {
-	s := NewStore()
-	data := []byte("the quick brown fox")
-	s.WriteAt(1, 100, data)
-
-	buf := make([]byte, len(data))
-	n := s.ReadAt(1, 100, buf)
-	if n != len(data) || !bytes.Equal(buf, data) {
-		t.Fatalf("got %d bytes %q", n, buf[:n])
-	}
-	if s.Size(1) != 100+int64(len(data)) {
-		t.Errorf("size = %d", s.Size(1))
-	}
-}
-
-func TestStoreSparseReadIsZeroFilled(t *testing.T) {
-	s := NewStore()
-	s.WriteAt(1, 8192, []byte{0xFF})
-	buf := make([]byte, 16)
-	n := s.ReadAt(1, 0, buf)
-	if n != 16 {
-		t.Fatalf("n = %d", n)
-	}
-	for i, b := range buf {
-		if b != 0 {
-			t.Fatalf("byte %d = %x, want 0 (sparse hole)", i, b)
-		}
-	}
-}
-
-func TestStoreReadPastEndShort(t *testing.T) {
-	s := NewStore()
-	s.WriteAt(2, 0, []byte("abc"))
-	buf := make([]byte, 10)
-	if n := s.ReadAt(2, 0, buf); n != 3 {
-		t.Errorf("n = %d, want 3", n)
-	}
-	if n := s.ReadAt(2, 5, buf); n != 0 {
-		t.Errorf("read past end n = %d, want 0", n)
-	}
-	if n := s.ReadAt(99, 0, buf); n != 0 {
-		t.Errorf("read missing file n = %d, want 0", n)
-	}
-}
-
-func TestStoreOverwrite(t *testing.T) {
-	s := NewStore()
-	s.WriteAt(1, 0, []byte("aaaaaa"))
-	s.WriteAt(1, 2, []byte("BB"))
-	buf := make([]byte, 6)
-	s.ReadAt(1, 0, buf)
-	if string(buf) != "aaBBaa" {
-		t.Errorf("got %q", buf)
-	}
-}
-
-func TestStoreDelete(t *testing.T) {
-	s := NewStore()
-	s.WriteAt(1, 0, []byte("x"))
-	if s.Files() != 1 {
-		t.Fatalf("files = %d", s.Files())
-	}
-	s.Delete(1)
-	if s.Files() != 0 || s.Size(1) != 0 {
-		t.Error("delete did not remove file")
-	}
-}
-
-func TestStoreEmptyWriteNoop(t *testing.T) {
-	s := NewStore()
-	s.WriteAt(1, 100, nil)
-	if s.Files() != 0 {
-		t.Error("empty write created a file")
-	}
-}
-
-func TestStoreConcurrentDisjointWriters(t *testing.T) {
-	s := NewStore()
-	const writers = 8
-	const chunk = 1024
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			data := bytes.Repeat([]byte{byte(id + 1)}, chunk)
-			s.WriteAt(7, int64(id*chunk), data)
-		}(w)
-	}
-	wg.Wait()
-	buf := make([]byte, chunk)
-	for w := 0; w < writers; w++ {
-		s.ReadAt(7, int64(w*chunk), buf)
-		for i, b := range buf {
-			if b != byte(w+1) {
-				t.Fatalf("writer %d byte %d = %x", w, i, b)
-			}
-		}
-	}
-}
-
-// Property: a write followed by a read of the same range returns the data.
-func TestStoreWriteReadProperty(t *testing.T) {
-	s := NewStore()
-	f := func(off uint16, data []byte) bool {
-		if len(data) == 0 {
-			return true
-		}
-		s.WriteAt(3, int64(off), data)
-		buf := make([]byte, len(data))
-		n := s.ReadAt(3, int64(off), buf)
-		return n == len(data) && bytes.Equal(buf, data)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestModelSequentialSkipsSeek(t *testing.T) {
 	m := DefaultModel()

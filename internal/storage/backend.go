@@ -1,14 +1,14 @@
 // Package storage defines the iod's persistence seam: the Backend
 // interface an I/O daemon stores its strip data behind. Two
-// implementations exist — storage/mem wraps the in-memory
-// simdisk.Store the system has always run on (tests, benchmarks, and
-// the discrete-event model stay bit-identical), and storage/disk is a
-// real on-disk engine with a write-ahead journal, an in-memory dirty
-// cache flushed on filesystem-friendly boundaries, and crash recovery
-// by journal replay (see that package for the format).
+// implementations exist — storage/mem is the in-memory sparse-file
+// store the system has always run on (the default for tests, benchmarks
+// and examples), and storage/disk is a real on-disk engine with a
+// write-ahead journal, an in-memory dirty cache flushed on
+// filesystem-friendly boundaries, and crash recovery by journal replay
+// (see that package for the format).
 //
-// The interface is deliberately the simdisk surface plus error
-// returns: the in-memory store cannot fail, so the seed's iod had no
+// The interface is deliberately the seed's in-memory store surface plus
+// error returns: that store could not fail, so the seed's iod had no
 // store-error path at all and acknowledged writes it could never have
 // persisted. Every method here can report failure, and the iod maps
 // those failures onto wire.StatusIOError acks the flush streams treat

@@ -455,7 +455,8 @@ func (s *Store) syncDir() error {
 
 // ReadAt implements storage.Backend: data file bytes with the staged
 // overlay applied in write order on top. Short reads past the logical
-// size, nil error, absent files read zero bytes — simdisk semantics.
+// size, nil error, absent files read zero bytes — the mem backend's
+// semantics.
 func (s *Store) ReadAt(id blockio.FileID, off int64, p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

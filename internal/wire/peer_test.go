@@ -17,21 +17,17 @@ func peerSamples() []Message {
 	}
 }
 
-// TestPeerShapesRoundTrip checks the vectored peer messages survive both
-// framings field for field.
+// TestPeerShapesRoundTrip checks the vectored peer messages survive the
+// frame codec field for field, tag included.
 func TestPeerShapesRoundTrip(t *testing.T) {
 	for _, m := range peerSamples() {
-		got := roundTrip(t, m)
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("%v round trip:\n got %+v\nwant %+v", m.WireType(), got, m)
-		}
 		var buf bytes.Buffer
 		if err := WriteTagged(&buf, 77, m); err != nil {
 			t.Fatal(err)
 		}
-		tag, tagged, tm, err := ReadFrame(&buf)
-		if err != nil || !tagged || tag != 77 || !reflect.DeepEqual(tm, m) {
-			t.Fatalf("%v tagged round trip: tag %d/%v err %v", m.WireType(), tag, tagged, err)
+		tag, tm, err := ReadFrame(&buf)
+		if err != nil || tag != 77 || !reflect.DeepEqual(tm, m) {
+			t.Fatalf("%v tagged round trip: tag %d err %v", m.WireType(), tag, err)
 		}
 	}
 	// No flags and no data is a legal answer (a peer that found nothing).
@@ -47,15 +43,15 @@ func TestPeerShapesRoundTrip(t *testing.T) {
 func TestPeerShapesAliasedDecode(t *testing.T) {
 	for _, m := range peerSamples() {
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := WriteTagged(&buf, 1, m); err != nil {
 			t.Fatal(err)
 		}
 		frame := buf.Bytes()
-		_, _, copied, err := ReadFrame(bytes.NewReader(frame))
+		_, copied, err := ReadFrame(bytes.NewReader(frame))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, aliased, payload, err := ReadFrameAliased(bytes.NewReader(frame))
+		_, aliased, payload, err := ReadFrameAliased(bytes.NewReader(frame))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,14 +76,6 @@ func TestPeerShapesAliasedDecode(t *testing.T) {
 	}
 }
 
-// frameOf frames a raw payload under type t.
-func frameOf(t Type, payload []byte) []byte {
-	frame := make([]byte, 6, 6+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)+2))
-	binary.BigEndian.PutUint16(frame[4:6], uint16(t))
-	return append(frame, payload...)
-}
-
 // TestPeerShapesHostileCounts checks an index, flag or entry count larger
 // than its payload could hold is rejected before anything is allocated.
 func TestPeerShapesHostileCounts(t *testing.T) {
@@ -107,10 +95,10 @@ func TestPeerShapesHostileCounts(t *testing.T) {
 		{"PeerPut one short", TPeerPut, append(binary.BigEndian.AppendUint32(make([]byte, 8), 1), make([]byte, 19)...)},
 	}
 	for _, c := range cases {
-		if _, err := ReadMessage(bytes.NewReader(frameOf(c.typ, c.payload))); err == nil {
+		if _, err := readMsg(bytes.NewReader(frameOf(c.typ, c.payload))); err == nil {
 			t.Errorf("%s: hostile count accepted", c.name)
 		}
-		if _, _, _, payload, err := ReadFrameAliased(bytes.NewReader(frameOf(c.typ, c.payload))); err == nil || payload != nil {
+		if _, _, payload, err := ReadFrameAliased(bytes.NewReader(frameOf(c.typ, c.payload))); err == nil || payload != nil {
 			t.Errorf("%s: aliased decode accepted or retained the frame", c.name)
 		}
 	}
@@ -130,10 +118,10 @@ func TestPeerShapesHostileData(t *testing.T) {
 	}
 	for _, m := range bad {
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := WriteTagged(&buf, 1, m); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadMessage(&buf); err == nil {
+		if _, err := readMsg(&buf); err == nil {
 			t.Errorf("%v with untiled data %+v accepted", m.WireType(), m)
 		}
 	}
@@ -141,7 +129,7 @@ func TestPeerShapesHostileData(t *testing.T) {
 	// A set bit past the last flag is not canonical.
 	padded := (&PeerGetResp{Status: StatusOK, Found: []bool{true}, Data: make([]byte, bs)}).append(nil)
 	padded[6] |= 0x80 // status u16, count u32, then the bitmap byte
-	if _, err := ReadMessage(bytes.NewReader(frameOf(TPeerGetResp, padded))); err == nil {
+	if _, err := readMsg(bytes.NewReader(frameOf(TPeerGetResp, padded))); err == nil {
 		t.Error("bitmap padding bits accepted")
 	}
 
@@ -170,7 +158,7 @@ func TestMaxFrameBlocksFits(t *testing.T) {
 			t.Fatalf("bs %d: %d blocks exceed MaxMessageSize/2", bs, n)
 		}
 		m := &PeerPut{Entries: make([]PeerPutEntry, n), Data: make([]byte, n*bs)}
-		if _, err := appendFrame(nil, 1, true, m); err != nil {
+		if _, err := appendFrame(nil, 1, m); err != nil {
 			t.Fatalf("bs %d: a PeerPut of %d blocks does not frame: %v", bs, n, err)
 		}
 	}

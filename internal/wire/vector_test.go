@@ -46,21 +46,13 @@ func TestReadBlocksRespRoundTrip(t *testing.T) {
 	}
 }
 
-// frameFor wraps a raw payload in an untagged frame of the given type.
-func frameFor(typ Type, payload []byte) []byte {
-	frame := make([]byte, 6, 6+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)+2))
-	binary.BigEndian.PutUint16(frame[4:6], uint16(typ))
-	return append(frame, payload...)
-}
-
 // TestReadBlocksHostileCount declares an extent count far beyond what the
 // payload holds: decode must reject it before allocating anything.
 func TestReadBlocksHostileCount(t *testing.T) {
 	payload := (&ReadBlocks{Client: 1, File: 2}).append(nil)
 	// The extent count is the final u32 of an extent-less encoding.
 	binary.BigEndian.PutUint32(payload[len(payload)-4:], 0xffffffff)
-	if _, err := ReadMessage(bytes.NewReader(frameFor(TReadBlocks, payload))); err == nil {
+	if _, err := readMsg(bytes.NewReader(frameOf(TReadBlocks, payload))); err == nil {
 		t.Fatal("hostile extent count accepted")
 	}
 }
@@ -70,7 +62,7 @@ func TestReadBlocksHostileCount(t *testing.T) {
 func TestReadBlocksRespHostileCount(t *testing.T) {
 	payload := apU16(nil, uint16(StatusOK))
 	payload = apU32(payload, 0xffffffff) // Lens count with no bytes behind it
-	if _, err := ReadMessage(bytes.NewReader(frameFor(TReadBlocksResp, payload))); err == nil {
+	if _, err := readMsg(bytes.NewReader(frameOf(TReadBlocksResp, payload))); err == nil {
 		t.Fatal("hostile length count accepted")
 	}
 }
@@ -86,7 +78,7 @@ func TestReadBlocksRespLensMismatch(t *testing.T) {
 	} {
 		m := &ReadBlocksResp{Status: StatusOK, Lens: lens, Data: []byte("abc")}
 		payload := m.append(nil)
-		if _, err := ReadMessage(bytes.NewReader(frameFor(TReadBlocksResp, payload))); err == nil {
+		if _, err := readMsg(bytes.NewReader(frameOf(TReadBlocksResp, payload))); err == nil {
 			t.Fatalf("lens %v accepted for 3-byte data", lens)
 		}
 	}

@@ -2,16 +2,16 @@
 // library, the metadata server (mgr), the I/O daemons (iod), and the cache
 // module's background threads (flusher, coherence).
 //
-// Framing is [u32 payload length][u16 message type][payload]. All integers
-// are big-endian. Variable-length fields are length-prefixed. The format is
-// hand-rolled on encoding/binary so the module stays stdlib-only.
+// Framing is [u32 tag bit | length][u16 message type][u64 tag][payload].
+// All integers are big-endian. Variable-length fields are length-prefixed.
+// The format is hand-rolled on encoding/binary so the module stays
+// stdlib-only.
 //
-// A frame may additionally carry a request tag so that responses can
-// complete out of order (see internal/rpc): when the high bit of the
-// length word is set, a u64 tag follows the type and the length counts
-// type + tag + payload. Untagged peers never set the bit, and a legacy
-// reader that receives a tagged frame fails cleanly with ErrTooLarge
-// rather than misparsing, because the bit lies far above MaxMessageSize.
+// Every frame carries a request tag so that responses can complete out of
+// order (see internal/rpc): the high bit of the length word is always set,
+// and the length counts type + tag + payload. A reader rejects a frame
+// without the bit. Marshal alone builds the tagless shape, as the
+// simulator's size model; no reader accepts it.
 //
 // The protocol deliberately mirrors the structure described in the paper:
 // data reads/writes and sync-writes travel on an iod's data port, flushes
@@ -522,9 +522,9 @@ func New(t Type) Message {
 	}
 }
 
-// tagBit marks a frame whose header carries a u64 request tag. It sits in
-// the length word, far above MaxMessageSize, so untagged readers reject
-// tagged frames instead of misparsing them.
+// tagBit marks the length word of every frame: its header carries a u64
+// request tag. It sits far above MaxMessageSize, so a frame without it
+// (a tagless writer, or garbage) fails the size check.
 const tagBit = 1 << 31
 
 // framePool recycles encode buffers; payloadPool recycles decode buffers.
@@ -580,24 +580,18 @@ func ReleasePayload(b []byte) {
 	putPayloadBuf(b)
 }
 
-// appendFrame encodes a frame (tagged when tagged is true) onto b.
-func appendFrame(b []byte, tag uint64, tagged bool, m Message) ([]byte, error) {
+// appendFrame encodes a tagged frame onto b.
+func appendFrame(b []byte, tag uint64, m Message) ([]byte, error) {
 	start := len(b)
 	b = append(b, 0, 0, 0, 0) // length placeholder
 	b = apU16(b, uint16(m.WireType()))
-	if tagged {
-		b = apU64(b, tag)
-	}
+	b = apU64(b, tag)
 	b = m.append(b)
 	size := len(b) - start - 4
 	if size > MaxMessageSize {
 		return b[:start], ErrTooLarge
 	}
-	word := uint32(size)
-	if tagged {
-		word |= tagBit
-	}
-	binary.BigEndian.PutUint32(b[start:start+4], word)
+	binary.BigEndian.PutUint32(b[start:start+4], uint32(size)|tagBit)
 	return b, nil
 }
 
@@ -621,14 +615,14 @@ type dataTail interface {
 // on the transport.
 const minVecTail = 1 << 10
 
-func writeFrame(w io.Writer, tag uint64, tagged bool, m Message) error {
+func writeFrame(w io.Writer, tag uint64, m Message) error {
 	if dt, ok := m.(dataTail); ok {
 		if t := dt.tail(); len(t) >= minVecTail {
-			return writeFrameVec(w, tag, tagged, dt, t)
+			return writeFrameVec(w, tag, dt, t)
 		}
 	}
 	buf := framePool.Get().([]byte)
-	frame, err := appendFrame(buf, tag, tagged, m)
+	frame, err := appendFrame(buf, tag, m)
 	if err != nil {
 		putFrameBuf(buf)
 		return err
@@ -643,60 +637,36 @@ func writeFrame(w io.Writer, tag uint64, tagged bool, m Message) error {
 // never copied into a frame. Callers serialize writes per connection
 // (rpc's per-connection write locks), so the two segments cannot
 // interleave with another frame.
-func writeFrameVec(w io.Writer, tag uint64, tagged bool, m dataTail, tail []byte) error {
+func writeFrameVec(w io.Writer, tag uint64, m dataTail, tail []byte) error {
 	buf := framePool.Get().([]byte)
 	b := append(buf, 0, 0, 0, 0) // length placeholder
 	b = apU16(b, uint16(m.WireType()))
-	if tagged {
-		b = apU64(b, tag)
-	}
+	b = apU64(b, tag)
 	b = m.appendHead(b)
 	size := len(b) - 4 + len(tail)
 	if size > MaxMessageSize {
 		putFrameBuf(b)
 		return ErrTooLarge
 	}
-	word := uint32(size)
-	if tagged {
-		word |= tagBit
-	}
-	binary.BigEndian.PutUint32(b[0:4], word)
+	binary.BigEndian.PutUint32(b[0:4], uint32(size)|tagBit)
 	bufs := net.Buffers{b, tail}
 	_, err := bufs.WriteTo(w)
 	putFrameBuf(b)
 	return err
 }
 
-// WriteMessage frames and writes m to w in the untagged (legacy) format.
-func WriteMessage(w io.Writer, m Message) error {
-	return writeFrame(w, 0, false, m)
-}
-
 // WriteTagged frames and writes m to w with a request tag; the peer echoes
 // the tag on the response so replies can complete out of order.
 func WriteTagged(w io.Writer, tag uint64, m Message) error {
-	return writeFrame(w, tag, true, m)
+	return writeFrame(w, tag, m)
 }
 
-// ReadMessage reads one untagged framed message from r. A tagged frame
-// fails with ErrTooLarge (the tag bit lies above the size limit).
-func ReadMessage(r io.Reader) (Message, error) {
-	_, tagged, m, err := ReadFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	if tagged {
-		return nil, ErrTooLarge
-	}
-	return m, nil
-}
-
-// ReadFrame reads one framed message from r, accepting both the untagged
-// and the tagged format, and reports which one arrived. Every
-// variable-length field of the returned message is an independent copy.
-func ReadFrame(r io.Reader) (tag uint64, tagged bool, m Message, err error) {
-	tag, tagged, m, _, err = readFrame(r, false)
-	return tag, tagged, m, err
+// ReadFrame reads one tagged framed message from r. A frame without the
+// tag bit fails with ErrTooLarge. Every variable-length field of the
+// returned message is an independent copy.
+func ReadFrame(r io.Reader) (tag uint64, m Message, err error) {
+	tag, m, _, err = readFrame(r, false)
+	return tag, m, err
 }
 
 // ReadFrameAliased is ReadFrame in zero-copy mode: bulk payload fields of
@@ -705,34 +675,29 @@ func ReadFrame(r io.Reader) (tag uint64, tagged bool, m Message, err error) {
 // copied out of it. The caller owns payload and must pass it to
 // ReleasePayload exactly once, after every alias is dead; payload is nil
 // when the message kept no alias (the buffer was recycled internally).
-func ReadFrameAliased(r io.Reader) (tag uint64, tagged bool, m Message, payload []byte, err error) {
+func ReadFrameAliased(r io.Reader) (tag uint64, m Message, payload []byte, err error) {
 	return readFrame(r, true)
 }
 
-func readFrame(r io.Reader, alias bool) (tag uint64, tagged bool, m Message, retained []byte, err error) {
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, false, nil, nil, err
+// frameHeadBytes is the fixed header after the length word: type and tag.
+const frameHeadBytes = 2 + 8
+
+func readFrame(r io.Reader, alias bool) (tag uint64, m Message, retained []byte, err error) {
+	var hdr [4 + frameHeadBytes]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return 0, nil, nil, err
 	}
 	word := binary.BigEndian.Uint32(hdr[0:4])
-	tagged = word&tagBit != 0
 	size := word &^ tagBit
-	min := uint32(2)
-	if tagged {
-		min = 2 + 8
+	if word&tagBit == 0 || size < frameHeadBytes || size > MaxMessageSize {
+		return 0, nil, nil, ErrTooLarge
 	}
-	if size < min || size > MaxMessageSize {
-		return 0, false, nil, nil, ErrTooLarge
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return 0, nil, nil, err
 	}
 	t := Type(binary.BigEndian.Uint16(hdr[4:6]))
-	if tagged {
-		var tb [8]byte
-		if _, err := io.ReadFull(r, tb[:]); err != nil {
-			return 0, false, nil, nil, err
-		}
-		tag = binary.BigEndian.Uint64(tb[:])
-	}
-	plen := int(size - min)
+	tag = binary.BigEndian.Uint64(hdr[6:])
+	plen := int(size - frameHeadBytes)
 	payload := payloadPool.Get().([]byte)
 	if cap(payload) < plen {
 		payload = make([]byte, plen)
@@ -740,12 +705,12 @@ func readFrame(r io.Reader, alias bool) (tag uint64, tagged bool, m Message, ret
 	payload = payload[:plen]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		putPayloadBuf(payload)
-		return 0, false, nil, nil, err
+		return 0, nil, nil, err
 	}
 	m = New(t)
 	if m == nil {
 		putPayloadBuf(payload)
-		return 0, false, nil, nil, fmt.Errorf("wire: unknown message type 0x%04x", uint16(t))
+		return 0, nil, nil, fmt.Errorf("wire: unknown message type 0x%04x", uint16(t))
 	}
 	rd := &reader{buf: payload, alias: alias}
 	derr := m.decode(rd)
@@ -757,12 +722,12 @@ func readFrame(r io.Reader, alias bool) (tag uint64, tagged bool, m Message, ret
 		payload = nil
 	}
 	if derr != nil {
-		return 0, false, nil, nil, fmt.Errorf("wire: decoding %v: %w", t, derr)
+		return 0, nil, nil, fmt.Errorf("wire: decoding %v: %w", t, derr)
 	}
 	if trailing != 0 {
-		return 0, false, nil, nil, fmt.Errorf("wire: %d trailing bytes after %v", trailing, t)
+		return 0, nil, nil, fmt.Errorf("wire: %d trailing bytes after %v", trailing, t)
 	}
-	return tag, tagged, m, payload, nil
+	return tag, m, payload, nil
 }
 
 // Marshal returns the framed encoding of m (header plus payload). It is

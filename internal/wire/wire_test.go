@@ -15,14 +15,29 @@ import (
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, m); err != nil {
+	if err := WriteTagged(&buf, 1, m); err != nil {
 		t.Fatalf("write %v: %v", m.WireType(), err)
 	}
-	got, err := ReadMessage(&buf)
+	got, err := readMsg(&buf)
 	if err != nil {
 		t.Fatalf("read %v: %v", m.WireType(), err)
 	}
 	return got
+}
+
+// readMsg reads one frame and drops its tag.
+func readMsg(r io.Reader) (Message, error) {
+	_, m, err := ReadFrame(r)
+	return m, err
+}
+
+// frameOf frames a raw payload under type t with tag 1.
+func frameOf(t Type, payload []byte) []byte {
+	frame := make([]byte, 4+frameHeadBytes, 4+frameHeadBytes+len(payload))
+	binary.BigEndian.PutUint32(frame[0:4], uint32(frameHeadBytes+len(payload))|tagBit)
+	binary.BigEndian.PutUint16(frame[4:6], uint16(t))
+	binary.BigEndian.PutUint64(frame[6:14], 1)
+	return append(frame, payload...)
 }
 
 func TestRoundTripAllTypes(t *testing.T) {
@@ -121,7 +136,7 @@ func TestEmptyCollections(t *testing.T) {
 }
 
 func TestReadMessageTruncatedHeader(t *testing.T) {
-	_, err := ReadMessage(bytes.NewReader([]byte{0, 0, 0}))
+	_, err := readMsg(bytes.NewReader([]byte{0, 0, 0}))
 	if err == nil {
 		t.Fatal("expected error on truncated header")
 	}
@@ -129,11 +144,11 @@ func TestReadMessageTruncatedHeader(t *testing.T) {
 
 func TestReadMessageTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Read{File: 1, Offset: 2, Length: 3}); err != nil {
+	if err := WriteTagged(&buf, 1, &Read{File: 1, Offset: 2, Length: 3}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	_, err := ReadMessage(bytes.NewReader(raw[:len(raw)-2]))
+	_, err := readMsg(bytes.NewReader(raw[:len(raw)-2]))
 	if err == nil {
 		t.Fatal("expected error on truncated payload")
 	}
@@ -143,8 +158,7 @@ func TestReadMessageTruncatedPayload(t *testing.T) {
 }
 
 func TestReadMessageUnknownType(t *testing.T) {
-	frame := []byte{0, 0, 0, 2, 0xFF, 0xFF}
-	_, err := ReadMessage(bytes.NewReader(frame))
+	_, err := readMsg(bytes.NewReader(frameOf(0xFFFF, nil)))
 	if err == nil {
 		t.Fatal("expected unknown-type error")
 	}
@@ -152,7 +166,7 @@ func TestReadMessageUnknownType(t *testing.T) {
 
 func TestReadMessageOversize(t *testing.T) {
 	frame := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0}
-	_, err := ReadMessage(bytes.NewReader(frame))
+	_, err := readMsg(bytes.NewReader(frame))
 	if err != ErrTooLarge {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
@@ -161,14 +175,14 @@ func TestReadMessageOversize(t *testing.T) {
 func TestReadMessageTrailingBytes(t *testing.T) {
 	// A Stat payload is exactly 8 bytes; declare 2 extra.
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Stat{File: 1}); err != nil {
+	if err := WriteTagged(&buf, 1, &Stat{File: 1}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	raw = append(raw, 0xEE, 0xEE)
 	// patch the length field: payload = 2 (type) ... wait, length counts type+payload
 	raw[3] += 2
-	_, err := ReadMessage(bytes.NewReader(raw))
+	_, err := readMsg(bytes.NewReader(raw))
 	if err == nil {
 		t.Fatal("expected trailing-bytes error")
 	}
@@ -206,10 +220,10 @@ func TestReadRoundTripProperty(t *testing.T) {
 	f := func(client uint32, file uint64, off, length int64, track bool) bool {
 		m := &Read{Client: client, File: blockio.FileID(file), Offset: off, Length: length, Track: track}
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := WriteTagged(&buf, 1, m); err != nil {
 			return false
 		}
-		got, err := ReadMessage(&buf)
+		got, err := readMsg(&buf)
 		if err != nil {
 			return false
 		}
@@ -225,10 +239,10 @@ func TestWriteRoundTripProperty(t *testing.T) {
 	f := func(data []byte, off int64) bool {
 		m := &Write{Client: 1, File: 2, Offset: off, Data: data}
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := WriteTagged(&buf, 1, m); err != nil {
 			return false
 		}
-		got, err := ReadMessage(&buf)
+		got, err := readMsg(&buf)
 		if err != nil {
 			return false
 		}
@@ -254,12 +268,12 @@ func TestEncodedSizeMatchesMarshal(t *testing.T) {
 func TestBackToBackMessages(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 10; i++ {
-		if err := WriteMessage(&buf, &Stat{File: blockio.FileID(i)}); err != nil {
+		if err := WriteTagged(&buf, 1, &Stat{File: blockio.FileID(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		m, err := ReadMessage(&buf)
+		m, err := readMsg(&buf)
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
@@ -275,12 +289,12 @@ func TestTaggedRoundTrip(t *testing.T) {
 	if err := WriteTagged(&buf, 0xdeadbeefcafe, want); err != nil {
 		t.Fatal(err)
 	}
-	tag, tagged, m, err := ReadFrame(&buf)
+	tag, m, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tagged || tag != 0xdeadbeefcafe {
-		t.Fatalf("tag = %#x tagged = %v", tag, tagged)
+	if tag != 0xdeadbeefcafe {
+		t.Fatalf("tag = %#x", tag)
 	}
 	r, ok := m.(*Read)
 	if !ok || *r != *want {
@@ -288,30 +302,16 @@ func TestTaggedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFrameAcceptsUntagged(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Stat{File: 9}); err != nil {
-		t.Fatal(err)
+// TestReadFrameRejectsUntagged feeds both decoders a well-formed frame
+// without the tag bit (the tagless Marshal shape): they must reject it
+// before reading its payload.
+func TestReadFrameRejectsUntagged(t *testing.T) {
+	frame := Marshal(&Stat{File: 9})
+	if _, _, err := ReadFrame(bytes.NewReader(frame)); err != ErrTooLarge {
+		t.Fatalf("ReadFrame on a tagless frame: %v, want ErrTooLarge", err)
 	}
-	tag, tagged, m, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tagged || tag != 0 {
-		t.Fatalf("untagged frame reported tag %#x tagged %v", tag, tagged)
-	}
-	if m.(*Stat).File != 9 {
-		t.Fatalf("bad payload: %+v", m)
-	}
-}
-
-func TestLegacyReaderRejectsTaggedFrame(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTagged(&buf, 42, &Stat{File: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMessage(&buf); err == nil {
-		t.Fatal("legacy ReadMessage accepted a tagged frame")
+	if _, _, payload, err := ReadFrameAliased(bytes.NewReader(frame)); err != ErrTooLarge || payload != nil {
+		t.Fatalf("ReadFrameAliased on a tagless frame: %v, want ErrTooLarge", err)
 	}
 }
 
@@ -322,11 +322,7 @@ func TestHostileCountRejected(t *testing.T) {
 		payload := m.append(nil)
 		// The count is the last u32 in each empty encoding; overwrite it.
 		binary.BigEndian.PutUint32(payload[len(payload)-4:], 0xffffffff)
-		frame := make([]byte, 6, 6+len(payload))
-		binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)+2))
-		binary.BigEndian.PutUint16(frame[4:6], uint16(m.WireType()))
-		frame = append(frame, payload...)
-		if _, err := ReadMessage(bytes.NewReader(frame)); err == nil {
+		if _, err := readMsg(bytes.NewReader(frameOf(m.WireType(), payload))); err == nil {
 			t.Errorf("%v: hostile count accepted", m.WireType())
 		}
 	}

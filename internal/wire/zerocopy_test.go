@@ -32,7 +32,7 @@ func TestVectoredEncodeMatchesCopyingEncode(t *testing.T) {
 				t.Fatalf("%v (%d bytes): %v", m.WireType(), n, err)
 			}
 			// Reference: the copying encoder via appendFrame.
-			ref, err := appendFrame(nil, 42, true, m)
+			ref, err := appendFrame(nil, 42, m)
 			if err != nil {
 				t.Fatalf("%v (%d bytes): %v", m.WireType(), n, err)
 			}
@@ -60,16 +60,16 @@ func TestAliasedDecodeMatchesCopyingDecode(t *testing.T) {
 	}
 	for _, m := range aliasing {
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := WriteTagged(&buf, 1, m); err != nil {
 			t.Fatal(err)
 		}
 		frame := buf.Bytes()
 
-		_, _, copied, err := ReadFrame(bytes.NewReader(frame))
+		_, copied, err := ReadFrame(bytes.NewReader(frame))
 		if err != nil {
 			t.Fatalf("%v: copying decode: %v", m.WireType(), err)
 		}
-		_, _, aliased, payload, err := ReadFrameAliased(bytes.NewReader(frame))
+		_, aliased, payload, err := ReadFrameAliased(bytes.NewReader(frame))
 		if err != nil {
 			t.Fatalf("%v: aliased decode: %v", m.WireType(), err)
 		}
@@ -95,10 +95,10 @@ func TestAliasedDecodeMatchesCopyingDecode(t *testing.T) {
 
 	// A message with no bulk payload must not retain the buffer.
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Open{Name: "some/file"}); err != nil {
+	if err := WriteTagged(&buf, 1, &Open{Name: "some/file"}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, m, payload, err := ReadFrameAliased(&buf)
+	_, m, payload, err := ReadFrameAliased(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +151,12 @@ func aliasesInto(sub, buf []byte) bool {
 // cases through the aliased decoder: truncated payloads and counts must
 // be rejected without retaining (or leaking) the buffer.
 func TestAliasedDecodeHostileInput(t *testing.T) {
-	good := Marshal(&ReadResp{Status: StatusOK, Data: bytes.Repeat([]byte{1}, 64)})
+	good, err := appendFrame(nil, 1, &ReadResp{Status: StatusOK, Data: bytes.Repeat([]byte{1}, 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for cut := 7; cut < len(good); cut += 11 {
-		if _, _, _, payload, err := ReadFrameAliased(bytes.NewReader(good[:cut])); err == nil || payload != nil {
+		if _, _, payload, err := ReadFrameAliased(bytes.NewReader(good[:cut])); err == nil || payload != nil {
 			t.Fatalf("truncated frame at %d accepted (payload=%v)", cut, payload != nil)
 		}
 	}
@@ -165,10 +168,10 @@ func TestAliasedFlushBlockKeys(t *testing.T) {
 		m.Blocks = append(m.Blocks, FlushBlock{Index: int64(i), Data: bytes.Repeat([]byte{byte(i)}, 2048)})
 	}
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, m); err != nil {
+	if err := WriteTagged(&buf, 1, m); err != nil {
 		t.Fatal(err)
 	}
-	_, _, got, payload, err := ReadFrameAliased(&buf)
+	_, got, payload, err := ReadFrameAliased(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
