@@ -481,11 +481,12 @@ func (m *Manager) WriteSpanTenant(key blockio.BlockKey, owner, off int, src []by
 
 // InsertClean installs a freshly fetched whole block. Bytes inside the
 // block's current valid interval are preserved: resident data is this
-// node's newest view of the block (see InstallFetched), so the fetch only
-// fills the invalid remainder. Fetched data shorter than the block size
-// leaves the tail zeroed (sparse files read as zero). Callers that go on
-// to hand the fetched image out (to readers, waiters, peers) must use
-// InstallFetched instead, so their copy gets the same resident-wins patch.
+// node's newest view of the block (see InstallFetchedAdmit), so the fetch
+// only fills the invalid remainder. Fetched data shorter than the block
+// size leaves the tail zeroed (sparse files read as zero). Callers that go
+// on to hand the fetched image out (to readers, waiters, peers) must use
+// InstallFetchedAdmit instead, so their copy gets the same resident-wins
+// patch.
 func (m *Manager) InsertClean(key blockio.BlockKey, owner int, data []byte) Outcome {
 	if len(data) > m.cfg.BlockSize {
 		panic("buffer: InsertClean data exceeds block size")
@@ -508,8 +509,8 @@ func (m *Manager) WriteStamp(key blockio.BlockKey) uint32 {
 	return m.shardFor(key).writeStamp(key)
 }
 
-// InstallFetched installs a freshly fetched whole-block image and patches
-// the caller's buffer to the canonical bytes, in one shard-lock
+// InstallFetchedAdmit installs a freshly fetched whole-block image and
+// patches the caller's buffer to the canonical bytes, in one shard-lock
 // acquisition. data should be a whole-block buffer; it is mutated in
 // place so that the copy the caller goes on to hand out — to readers,
 // fetch-join waiters, the readahead marks, the global cache — matches
@@ -527,24 +528,17 @@ func (m *Manager) WriteStamp(key blockio.BlockKey) uint32 {
 // and its frame evicted — the resident-wins patch then has nothing left
 // to win with), the install is refused with OutcomeStale and data is left
 // untouched. Callers re-read the block and retry with a fresh stamp.
-func (m *Manager) InstallFetched(key blockio.BlockKey, owner int, data []byte, stamp uint32) Outcome {
+//
+// must carries the discretionary-admission override: set, the caller
+// carries a must-cache hint, so under PolicyGhost the block is admitted
+// into the protected segment directly (its reuse is asserted by the
+// application, not proven by history) and is never rejected by the
+// admission gate. Under the other policies must has no effect.
+func (m *Manager) InstallFetchedAdmit(key blockio.BlockKey, owner int, data []byte, must bool, stamp uint32) Outcome {
 	// Whole-block images only: a short buffer could not receive the
 	// resident-wins patch, silently diverging the caller's copy from the
 	// cache — the very bug this API exists to prevent. (InsertClean, which
 	// hands nothing back, accepts short data and zero-fills the tail.)
-	if len(data) != m.cfg.BlockSize {
-		panic("buffer: InstallFetched requires a whole-block image")
-	}
-	return m.shardFor(key).installFetched(key, owner, data, false, stamp)
-}
-
-// InstallFetchedAdmit is InstallFetched with the discretionary-admission
-// override: must set means the caller carries a must-cache hint, so under
-// PolicyGhost the block is admitted into the protected segment directly
-// (its reuse is asserted by the application, not proven by history) and is
-// never rejected by the admission gate. Under the other policies must has
-// no effect.
-func (m *Manager) InstallFetchedAdmit(key blockio.BlockKey, owner int, data []byte, must bool, stamp uint32) Outcome {
 	if len(data) != m.cfg.BlockSize {
 		panic("buffer: InstallFetchedAdmit requires a whole-block image")
 	}
@@ -553,11 +547,11 @@ func (m *Manager) InstallFetchedAdmit(key blockio.BlockKey, owner int, data []by
 
 // PatchResident overlays the block's resident valid bytes onto data (a
 // whole-block image) without admitting anything: the read-around path's
-// half of InstallFetched's resident-wins patch. A bypassed fetch must
+// half of InstallFetchedAdmit's resident-wins patch. A bypassed fetch must
 // still serve this node's newest view of the block — resident bytes may be
 // dirtier or newer than what the iod returned — even though the fetched
 // image is never installed. The stamp check is the same as
-// InstallFetched's: a bypassed image whose block was written mid-flight
+// InstallFetchedAdmit's: a bypassed image whose block was written mid-flight
 // is refused (OutcomeStale), because the newer write may already have
 // been flushed and evicted, leaving no resident bytes to patch from.
 func (m *Manager) PatchResident(key blockio.BlockKey, data []byte, stamp uint32) Outcome {

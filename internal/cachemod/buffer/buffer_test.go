@@ -158,7 +158,7 @@ func TestInstallFetchedPatchesCallerBuffer(t *testing.T) {
 	m := mgr(4, PolicyClock)
 	// Absent block: the image installs untouched.
 	buf := fill(9, 64)
-	if m.InstallFetched(key(2, 0), 0, buf, m.WriteStamp(key(2, 0))) != OutcomeOK {
+	if m.InstallFetchedAdmit(key(2, 0), 0, buf, false, m.WriteStamp(key(2, 0))) != OutcomeOK {
 		t.Fatal("install of absent block failed")
 	}
 	if !bytes.Equal(buf, fill(9, 64)) {
@@ -168,7 +168,7 @@ func TestInstallFetchedPatchesCallerBuffer(t *testing.T) {
 	// caller's (which goes on to readers, waiters and the global cache).
 	m.WriteSpan(key(1, 0), 0, 8, fill(5, 8), true)
 	buf = fill(9, 64)
-	if m.InstallFetched(key(1, 0), 0, buf, m.WriteStamp(key(1, 0))) != OutcomeOK {
+	if m.InstallFetchedAdmit(key(1, 0), 0, buf, false, m.WriteStamp(key(1, 0))) != OutcomeOK {
 		t.Fatal("install over resident block failed")
 	}
 	if !bytes.Equal(buf[8:16], fill(5, 8)) {

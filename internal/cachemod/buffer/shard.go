@@ -146,7 +146,7 @@ func (s *shard) insertClean(key blockio.BlockKey, owner int, data []byte, must b
 	return s.insertCleanLocked(key, owner, data, must)
 }
 
-// installFetched is InstallFetched for keys routed to this shard: check
+// installFetched is InstallFetchedAdmit for keys routed to this shard: check
 // the fetcher's stamp, patch the caller's image with the resident valid
 // bytes, then install it, all under one lock so the stamp check, the
 // installed copy, and the handed-out copy cannot diverge in between.
@@ -157,7 +157,7 @@ func (s *shard) installFetched(key blockio.BlockKey, owner int, data []byte, mus
 		s.ctrs.staleInstalls.Inc()
 		return OutcomeStale
 	}
-	// data is a whole block (Manager.InstallFetched enforces it), so the
+	// data is a whole block (Manager.InstallFetchedAdmit enforces it), so the
 	// valid interval always fits.
 	if b, ok := s.table[key]; ok && b.validLen > 0 {
 		copy(data[b.validOff:], b.data[b.validOff:b.validOff+b.validLen])

@@ -221,7 +221,6 @@ func TestSubBlockStridedReadSplitsFetches(t *testing.T) {
 // such a response.
 func TestFillFromResponseRejectsOverlongLens(t *testing.T) {
 	r := newRig(t, nil)
-	tr := r.mod.NewTransport()
 	mkRun := func(first int64, n int) fetchRun {
 		run := fetchRun{firstIdx: first}
 		for i := 0; i < n; i++ {
@@ -231,13 +230,12 @@ func TestFillFromResponseRejectsOverlongLens(t *testing.T) {
 		return run
 	}
 	runs := []fetchRun{mkRun(0, 1), mkRun(5, 1)}
-	pr := &pendingRead{result: make([]byte, 2*4096)}
 	rr := &wire.ReadBlocksResp{
 		Status: wire.StatusOK,
 		Lens:   []uint32{4096 + 1024, 3072}, // extent 0 overlong; sum still tiles
 		Data:   make([]byte, 2*4096),
 	}
-	err := tr.fillFromResponse(pr, fetch{iod: 0, runs: runs}, rr)
+	err := r.mod.fillFromResponse(fetch{iod: 0, runs: runs}, rr, admitDefault)
 	if err == nil {
 		t.Fatal("overlong extent length accepted")
 	}
@@ -307,7 +305,7 @@ func TestUnalignedWriteRMW(t *testing.T) {
 // holds the pre-write bytes — and the response used to be assembled from
 // the fetched image alone, surfacing stale bytes for the written range.
 // The fetched image must be patched with the resident bytes before it
-// reaches the reader (buffer.InstallFetched).
+// reaches the reader (buffer.InstallFetchedAdmit).
 func TestReadMergesUnflushedWriteWithFetch(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.FlushPeriod = time.Hour }) // flusher never runs
 	old := bytes.Repeat([]byte{0xAA}, 4096)

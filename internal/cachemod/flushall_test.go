@@ -20,7 +20,7 @@ import (
 // TestHostilePeerBlockSizeRejected: a global-cache peer that answers
 // PeerGet with anything but one whole block per found flag is buggy or
 // hostile; installing or slicing its bytes would panic the node (oversize
-// data panics InstallFetched, short data the span copy) or poison the
+// data panics InstallFetchedAdmit, short data the span copy) or poison the
 // cache. The read path must instead drop the whole answer, install
 // nothing from it, count it per block, and fall through to the iod
 // fetch.
@@ -55,6 +55,10 @@ func TestHostilePeerBlockSizeRejected(t *testing.T) {
 	go stub.Serve(pl)
 	defer stub.Close()
 
+	pinnedMgr(t, net, "gc-mgr", []membership.Member{
+		{ID: 0, Addr: "gc-hostile-peer"},
+		{ID: 1, Addr: "gc-self-node"},
+	})
 	mod, err := New(Config{
 		Network:          net,
 		ClientID:         1,
@@ -62,11 +66,9 @@ func TestHostilePeerBlockSizeRejected(t *testing.T) {
 		Buffer:           buffer.Config{BlockSize: 4096, Capacity: 16},
 		DisableCoherence: true,
 		GlobalCache: &globalcache.Options{
-			SelfID: 1,
-			Peers: []membership.Member{
-				{ID: 0, Addr: "gc-hostile-peer"},
-				{ID: 1, Addr: "gc-self-node"},
-			},
+			SelfID:   1,
+			SelfAddr: "gc-self-node",
+			MgrAddr:  "gc-mgr",
 			Replicas: 1, // primary only: the walk must hit the hostile peer
 		},
 		Registry: reg,
@@ -77,7 +79,7 @@ func TestHostilePeerBlockSizeRejected(t *testing.T) {
 	defer mod.Close()
 
 	// A block whose ring primary is the hostile peer.
-	ring := membership.NewRing(membership.StaticView([]string{"gc-hostile-peer", "gc-self-node"}), 0, 1)
+	ring := mod.GlobalCacheNode().Ring()
 	var key blockio.BlockKey
 	for f := blockio.FileID(1); ; f++ {
 		key = blockio.BlockKey{File: f, Index: 0}
@@ -151,6 +153,10 @@ func TestGlobalCacheProbeOncePerRequest(t *testing.T) {
 	go stub.Serve(pl)
 	defer stub.Close()
 
+	pinnedMgr(t, net, "gc-mgr", []membership.Member{
+		{ID: 0, Addr: "gc-stub-peer"},
+		{ID: 1, Addr: "gc-self-node"},
+	})
 	mod, err := New(Config{
 		Network:          net,
 		ClientID:         1,
@@ -158,11 +164,9 @@ func TestGlobalCacheProbeOncePerRequest(t *testing.T) {
 		Buffer:           buffer.Config{BlockSize: bs, Capacity: 64},
 		DisableCoherence: true,
 		GlobalCache: &globalcache.Options{
-			SelfID: 1,
-			Peers: []membership.Member{
-				{ID: 0, Addr: "gc-stub-peer"},
-				{ID: 1, Addr: "gc-self-node-2"},
-			},
+			SelfID:   1,
+			SelfAddr: "gc-self-node",
+			MgrAddr:  "gc-mgr",
 			Replicas: 1,
 		},
 		Registry: reg,

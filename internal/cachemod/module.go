@@ -48,7 +48,6 @@ import (
 	"pvfscache/internal/blockio"
 	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/globalcache"
-	"pvfscache/internal/membership"
 	"pvfscache/internal/metrics"
 	"pvfscache/internal/pvfs"
 	"pvfscache/internal/rpc"
@@ -140,9 +139,8 @@ type Config struct {
 	// GlobalCache, when non-nil, enables the cooperative global cache
 	// extension (the paper's §5 ongoing work): this module serves its
 	// blocks to peers and probes a block's replica set before fetching
-	// from the iods. The options select the membership mode — Peers pins
-	// a static view, MgrAddr joins the mgr-coordinated epoch-versioned
-	// view (see globalcache.Options).
+	// from the iods. The node joins the mgr-coordinated epoch-versioned
+	// membership view at MgrAddr (see globalcache.Options).
 	GlobalCache *globalcache.Options
 	// Registry receives the module's counters; nil uses a private one.
 	Registry *metrics.Registry
@@ -205,8 +203,9 @@ func (c *Config) fillDefaults() error {
 }
 
 // memRef counts the readers of one pooled buffer shared by one or more
-// fetchStates — a miss run's slab, or a single prefetched/peer-fetched
-// block. The buffer returns to its pool when the count drains to zero.
+// fetchStates — a fetched run's slab (demand or prefetch), or a single
+// peer-fetched block. The buffer returns to its pool when the count
+// drains to zero.
 type memRef struct {
 	buf  []byte
 	pool *rpc.BufPool
@@ -287,9 +286,8 @@ type Module struct {
 	data  []*rpc.Client // per-iod data-port clients (module-owned, pooled)
 	flush []*rpc.Client // per-iod flush-port clients
 
-	// slabs recycles miss-run assembly buffers, blocks recycles
-	// whole-block buffers (prefetch installs, peer gets, read-modify-write
-	// fetches).
+	// slabs recycles fetched-run assembly buffers, blocks recycles
+	// whole-block buffers (peer gets, read-modify-write fetches).
 	slabs  rpc.BufPool
 	blocks rpc.BufPool
 
@@ -415,15 +413,9 @@ func New(cfg Config) (*Module, error) {
 
 	if cfg.GlobalCache != nil {
 		opts := *cfg.GlobalCache
-		// Static mode listens at this member's published address; dynamic
-		// mode listens wherever it can (":0") and advertises the result to
-		// the mgr when it joins.
+		// Listen at the advertised address, or wherever the network
+		// chooses (":0"), which the node then advertises to the mgr.
 		listenAddr := opts.SelfAddr
-		if opts.MgrAddr == "" {
-			if i := (membership.View{Members: opts.Peers}).IndexOf(opts.SelfID); i >= 0 {
-				listenAddr = opts.Peers[i].Addr
-			}
-		}
 		if listenAddr == "" {
 			listenAddr = ":0"
 		}

@@ -449,7 +449,7 @@ func TestPrefetchJoinCountsAsHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Publish exactly as prefetchIOD does.
+	// Publish as the miss engine does for a prefetched block.
 	block := make([]byte, 4096)
 	copy(block, data)
 	r.mod.buf.InsertClean(key, 0, block)

@@ -78,15 +78,15 @@ type pendingOp struct {
 // pendingRead tracks a read whose missing pieces are in flight. Every
 // span of the request resolved its destination slice at classification
 // time: a region of the caller's own buffer (see SendRead), or of result
-// — the response payload Send allocates. For a vectored request (libpvfs
-// sent a ReadBlocks) lens carries the per-extent byte counts for the
-// response.
+// — the response payload Send allocates. A vectored request (libpvfs sent
+// a ReadBlocks) is answered with a ReadBlocksResp, whose per-extent byte
+// counts lens carries; a plain Read with a ReadResp.
 type pendingRead struct {
 	result  []byte // response payload; nil on the SendRead path (status-only)
 	fetches []fetch
 	waits   []spanWait
 	vector  bool
-	lens    []uint32
+	lens    []uint32  // vector only
 	admit   admitMode // admission decision, fixed once per request
 
 	// qos is the tenant state charged qosBlocks in-flight read blocks at
@@ -95,6 +95,14 @@ type pendingRead struct {
 	qos       *tenantState
 	qosBlocks int
 	trace     *reqTrace
+}
+
+// response is the request's reply in the shape its request asked for.
+func (pr *pendingRead) response(status wire.Status) wire.Message {
+	if pr.vector {
+		return &wire.ReadBlocksResp{Status: status, Lens: pr.lens, Data: pr.result}
+	}
+	return &wire.ReadResp{Status: status, Data: pr.result}
 }
 
 // releaseBudget returns the request's in-flight read-block charge to its
@@ -114,8 +122,8 @@ type tgtSpan struct {
 	dst []byte
 }
 
-// fetchRun is a run of consecutive missing blocks this process owns: one
-// extent of a vectored fetch.
+// fetchRun is a run of consecutive claimed blocks: one extent of a
+// vectored fetch.
 type fetchRun struct {
 	firstIdx int64
 	keys     []blockio.BlockKey
@@ -123,16 +131,16 @@ type fetchRun struct {
 	spans    []tgtSpan // request spans served by this run
 }
 
-// fetch is one network round trip issued for a request's missing blocks:
-// a ReadBlocks carrying one extent per run.
+// fetch is one network round trip issued for claimed blocks (a request's
+// misses or a readahead window): a ReadBlocks carrying one extent per run.
 type fetch struct {
 	iod  int
 	ch   <-chan rpc.Result
 	runs []fetchRun
 }
 
-// ownedSpan pairs a missing span with the fetch-table entry this process
-// claimed for its block.
+// ownedSpan pairs a missing span with the fetch-table entry claimed for
+// its block. A prefetch claim has only the block key and no destination.
 type ownedSpan struct {
 	sp  blockio.Span
 	dst []byte
@@ -163,7 +171,7 @@ func (t *CachedTransport) Send(iod int, req wire.Message) (pvfs.ReqID, error) {
 	case *wire.Read:
 		op, err = t.sendRead(iod, r, nil)
 	case *wire.ReadBlocks:
-		op, err = t.sendVectorRead(iod, r, nil)
+		op, err = t.sendVectorRead(iod, r, nil, true)
 	case *wire.Write:
 		op, err = t.sendWrite(iod, r)
 	case *wire.SyncWrite:
@@ -209,7 +217,7 @@ func (t *CachedTransport) SendRead(iod int, req wire.Message, sink [][]byte) (pv
 				return 0, false, nil
 			}
 		}
-		op, err = t.sendVectorRead(iod, r, sink)
+		op, err = t.sendVectorRead(iod, r, sink, true)
 	default:
 		return 0, false, nil
 	}
@@ -300,7 +308,7 @@ func (t *CachedTransport) classifySpan(iod int, sp blockio.Span, dst []byte, pr 
 // for every owned miss of the request (one round trip per primary, see
 // globalcache.Node.Get). Each hit installs, publishes to joiners and
 // fills its destination exactly as a fetched block does; the misses are
-// returned, in order, for issueFetches. A read-around request skips the
+// returned, in order, for the iod fetch. A read-around request skips the
 // probe: its blocks must not be installed here, and a stream hammering
 // the peer ring would displace exactly the shared blocks the ring exists
 // for.
@@ -343,175 +351,34 @@ func (t *CachedTransport) probeGlobalCache(iod int, owned []ownedSpan, pr *pendi
 	return misses
 }
 
-// issueFetches groups the owned miss spans into runs of consecutive block
-// indices and puts them on the wire: one vectored ReadBlocks carrying
-// every run as an extent, split only where a frame cannot carry more.
-// The sub-requests of a request are all in flight before the first
-// response is awaited.
-func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []ownedSpan, pr *pendingRead) error {
-	if len(owned) == 0 {
-		return nil
-	}
-	bs := t.m.buf.BlockSize()
-	var runs []fetchRun
-	for start := 0; start < len(owned); {
-		end := start + 1
-		for end < len(owned) && owned[end].sp.Key.Index == owned[end-1].sp.Key.Index+1 {
-			end++
-		}
-		group := owned[start:end]
-		run := fetchRun{firstIdx: group[0].sp.Key.Index}
-		for _, o := range group {
-			run.keys = append(run.keys, o.sp.Key)
-			run.states = append(run.states, o.st)
-			run.spans = append(run.spans, tgtSpan{sp: o.sp, dst: o.dst})
-		}
-		runs = append(runs, run)
-		start = end
-	}
-	// Rounding spans up to whole blocks can inflate a fetch far past the
-	// original request bytes (sub-block extents each cost a full block),
-	// so bound every run — and every vectored batch of runs — by what one
-	// response frame can carry, splitting into several round trips when
-	// necessary.
-	runs = splitRuns(runs, wire.MaxFrameBlocks(bs))
-
-	for start := 0; start < len(runs); {
-		batch := runs[start : start+1]
-		blocks := len(runs[start].keys)
-		for end := start + 1; end < len(runs) && blocks+len(runs[end].keys) <= wire.MaxFrameBlocks(bs); end++ {
-			blocks += len(runs[end].keys)
-			batch = runs[start : end+1]
-		}
-		exts := make([]wire.ReadExtent, len(batch))
-		for i, run := range batch {
-			exts[i] = wire.ReadExtent{
-				Offset: run.firstIdx * int64(bs),
-				Length: int64(len(run.keys)) * int64(bs),
-			}
-		}
-		ch, err := t.m.data[iod].Go(&wire.ReadBlocks{
-			Client: t.m.cfg.ClientID,
-			File:   file,
-			Track:  pr.admit != admitNever,
-			Exts:   exts,
-		})
-		if err != nil {
-			t.abortFetches(pr.fetches, err)
-			// The failing batch AND the not-yet-issued ones: all their
-			// fetch-table claims must be released, or later readers of
-			// those blocks would wait forever.
-			t.abortRuns(runs[start:], err)
-			return err
-		}
-		pr.fetches = append(pr.fetches, fetch{iod: iod, ch: ch, runs: batch})
-		t.m.cfg.Registry.Counter("module.read_vector_fetches").Inc()
-		start += len(batch)
-	}
-	return nil
-}
-
-// splitRuns bounds every run at maxBlocks consecutive blocks, splitting
-// oversized ones (a sub-block-striped request can round up to far more
-// block bytes than it asked for) into several runs that fetch separately.
-func splitRuns(runs []fetchRun, maxBlocks int) []fetchRun {
-	out := make([]fetchRun, 0, len(runs))
-	for _, run := range runs {
-		if len(run.keys) <= maxBlocks {
-			out = append(out, run)
-			continue
-		}
-		spanAt := 0
-		for start := 0; start < len(run.keys); start += maxBlocks {
-			end := start + maxBlocks
-			if end > len(run.keys) {
-				end = len(run.keys)
-			}
-			sub := fetchRun{
-				firstIdx: run.keys[start].Index,
-				keys:     run.keys[start:end],
-				states:   run.states[start:end],
-			}
-			lastIdx := run.keys[end-1].Index
-			// Spans are ordered by block, so a cursor partitions them.
-			spanStart := spanAt
-			for spanAt < len(run.spans) && run.spans[spanAt].sp.Key.Index <= lastIdx {
-				spanAt++
-			}
-			sub.spans = run.spans[spanStart:spanAt]
-			out = append(out, sub)
-		}
-	}
-	return out
-}
-
-// sendRead classifies each block span of the request as a cache hit, a
-// join on an in-flight fetch, or a miss this process must fetch. All the
-// missing runs of the request leave in one vectored sub-request; a cached
-// block in the middle of the request therefore costs an extent boundary,
-// not an extra round trip. Every span writes straight into its sink
-// slice: the caller's buffer (SendRead), or — sink nil, from Send — one
-// allocated response buffer that the response carries.
+// sendRead runs a plain Read through the same state machine as a
+// one-extent vectored request; only the reply shape (ReadResp) differs.
 func (t *CachedTransport) sendRead(iod int, req *wire.Read, sink [][]byte) (*pendingOp, error) {
-	// The request length is attacker-controlled at this boundary (the same
+	exts := [1]wire.ReadExtent{{Offset: req.Offset, Length: req.Length}}
+	return t.sendVectorRead(iod, &wire.ReadBlocks{File: req.File, Exts: exts[:]}, sink, false)
+}
+
+// sendVectorRead is the read FSM. Every block span of every extent is
+// classified as a cache hit, a join on an in-flight fetch, or a miss this
+// process must fetch; whatever is missing across the whole request leaves
+// in one vectored sub-request per frame's worth of blocks, so a cached
+// block in the middle of a request costs an extent boundary, not an extra
+// round trip. libpvfs sends a ReadBlocks (vector set) when several
+// striping pieces of an operation land on the same daemon, and a plain
+// Read otherwise. sink carries one destination slice per extent: the
+// caller's buffers (SendRead), or — nil, from Send — slices of one
+// allocated response buffer that the response carries.
+func (t *CachedTransport) sendVectorRead(iod int, req *wire.ReadBlocks, sink [][]byte, vector bool) (*pendingOp, error) {
+	pr := &pendingRead{vector: vector}
+	// Extent lengths are attacker-controlled at this boundary (the same
 	// hostile-allocation guard the iod and the wire decoders apply):
 	// reject anything that could not be framed back in a response before
 	// allocating or spanning it.
-	if req.Offset < 0 || req.Length < 0 || req.Length > wire.MaxMessageSize/2 {
-		return &pendingOp{ready: &wire.ReadResp{Status: wire.StatusBadRequest}}, nil
-	}
-	bs := t.m.buf.BlockSize()
-	spans := blockio.Spans(req.File, req.Offset, req.Length, bs)
-	rt := t.m.traceStart("read", req.File, req.Offset, req.Length)
-	tenant := t.m.tenantOf(req.File)
-	qos, ok := t.m.acquireFetchBudget(tenant, len(spans))
-	if !ok {
-		rt.finish(fmt.Sprintf("shed overload tenant=%d (%d blocks over budget)", tenant, len(spans)))
-		return &pendingOp{ready: &wire.ReadResp{Status: wire.StatusOverload}}, nil
-	}
-	pr := &pendingRead{admit: t.m.readAdmitMode(req.File), qos: qos, qosBlocks: len(spans), trace: rt}
-	if sink == nil {
-		pr.result = make([]byte, req.Length)
-		sink = [][]byte{pr.result}
-	}
-	dst := sink[0]
-	var owned []ownedSpan // spans whose fetch this process owns
-	for _, sp := range spans {
-		owned = t.classifySpan(iod, sp, dst[sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
-	}
-	rt.hop("classified: %d spans, %d hits, %d joins, %d misses",
-		len(spans), len(spans)-len(owned)-len(pr.waits), len(pr.waits), len(owned))
-	owned = t.probeGlobalCache(iod, owned, pr)
-	if err := t.issueFetches(iod, req.File, owned, pr); err != nil {
-		pr.releaseBudget()
-		rt.finish(fmt.Sprintf("issue error: %v", err))
-		return nil, err
-	}
-	if len(pr.fetches) == 0 && len(pr.waits) == 0 {
-		// Entire request served from the cache: the response is ready now;
-		// libpvfs's receive call will be faked locally.
-		pr.releaseBudget()
-		t.m.cfg.Registry.Counter("module.read_full_hits").Inc()
-		rt.finish("full cache hit")
-		return &pendingOp{ready: &wire.ReadResp{Status: wire.StatusOK, Data: pr.result}}, nil
-	}
-	rt.hop("issued %d fetches", len(pr.fetches))
-	return &pendingOp{read: pr}, nil
-}
-
-// sendVectorRead runs the cache FSM for a vectored request: libpvfs sends
-// one ReadBlocks per iod when several striping pieces of an operation land
-// on the same daemon. Every extent's spans classify against the cache
-// exactly as a plain read's do, and whatever is missing across all of
-// them leaves in a single vectored sub-request. sink carries one
-// destination slice per extent; nil (from Send) slices one allocated
-// response buffer instead.
-func (t *CachedTransport) sendVectorRead(iod int, req *wire.ReadBlocks, sink [][]byte) (*pendingOp, error) {
-	bs := t.m.buf.BlockSize()
 	total, ok := wire.ValidateExtents(req.Exts)
 	if !ok {
-		return &pendingOp{ready: &wire.ReadBlocksResp{Status: wire.StatusBadRequest}}, nil
+		return &pendingOp{ready: pr.response(wire.StatusBadRequest)}, nil
 	}
+	bs := t.m.buf.BlockSize()
 	nblocks := 0
 	for _, e := range req.Exts {
 		if e.Length > 0 {
@@ -519,55 +386,67 @@ func (t *CachedTransport) sendVectorRead(iod int, req *wire.ReadBlocks, sink [][
 			nblocks += int(count)
 		}
 	}
-	var firstOff int64
+	op, firstOff := "read", int64(0)
+	if vector {
+		op = "readv"
+	}
 	if len(req.Exts) > 0 {
 		firstOff = req.Exts[0].Offset
 	}
-	rt := t.m.traceStart("readv", req.File, firstOff, total)
+	rt := t.m.traceStart(op, req.File, firstOff, total)
 	tenant := t.m.tenantOf(req.File)
 	qos, budgetOK := t.m.acquireFetchBudget(tenant, nblocks)
 	if !budgetOK {
 		rt.finish(fmt.Sprintf("shed overload tenant=%d (%d blocks over budget)", tenant, nblocks))
-		return &pendingOp{ready: &wire.ReadBlocksResp{Status: wire.StatusOverload}}, nil
+		return &pendingOp{ready: pr.response(wire.StatusOverload)}, nil
 	}
-	pr := &pendingRead{
-		vector:    true,
-		lens:      make([]uint32, len(req.Exts)),
-		admit:     t.m.readAdmitMode(req.File),
-		qos:       qos,
-		qosBlocks: nblocks,
-		trace:     rt,
+	pr.admit, pr.qos, pr.qosBlocks, pr.trace = t.m.readAdmitMode(req.File), qos, nblocks, rt
+	if vector {
+		pr.lens = make([]uint32, len(req.Exts))
 	}
 	if sink == nil {
 		pr.result = make([]byte, total)
-		sink = make([][]byte, len(req.Exts))
-		rest := pr.result
-		for i, e := range req.Exts {
-			sink[i], rest = rest[:e.Length], rest[e.Length:]
+		sink = [][]byte{pr.result}
+		if len(req.Exts) > 1 {
+			sink = make([][]byte, len(req.Exts))
+			rest := pr.result
+			for i, e := range req.Exts {
+				sink[i], rest = rest[:e.Length], rest[e.Length:]
+			}
 		}
 	}
-	var owned []ownedSpan
+	var owned []ownedSpan // spans whose fetch this process owns
 	for i, e := range req.Exts {
-		// The cache serves every requested byte (missing data reads as
-		// zero), so extents complete at full length.
-		pr.lens[i] = uint32(e.Length)
+		if vector {
+			// The cache serves every requested byte (missing data reads
+			// as zero), so extents complete at full length.
+			pr.lens[i] = uint32(e.Length)
+		}
 		for _, sp := range blockio.Spans(req.File, e.Offset, e.Length, bs) {
 			owned = t.classifySpan(iod, sp, sink[i][sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
 		}
 	}
-	rt.hop("classified: %d extents, %d joins, %d misses", len(req.Exts), len(pr.waits), len(owned))
+	rt.hop("classified: %d blocks, %d joins, %d misses", nblocks, len(pr.waits), len(owned))
 	owned = t.probeGlobalCache(iod, owned, pr)
-	if err := t.issueFetches(iod, req.File, owned, pr); err != nil {
+	fs, err := t.m.issueRuns(iod, req.File, pr.admit != admitNever, runsOf(owned))
+	if len(fs) > 0 {
+		// Guarded: a full hit must not pay the registry lookup.
+		t.m.cfg.Registry.Counter("module.read_vector_fetches").Add(int64(len(fs)))
+	}
+	if err != nil {
+		t.m.abortFetches(fs, err)
 		pr.releaseBudget()
 		rt.finish(fmt.Sprintf("issue error: %v", err))
 		return nil, err
 	}
-
+	pr.fetches = fs
 	if len(pr.fetches) == 0 && len(pr.waits) == 0 {
+		// Entire request served from the cache: the response is ready now;
+		// libpvfs's receive call will be faked locally.
 		pr.releaseBudget()
 		t.m.cfg.Registry.Counter("module.read_full_hits").Inc()
 		rt.finish("full cache hit")
-		return &pendingOp{ready: &wire.ReadBlocksResp{Status: wire.StatusOK, Lens: pr.lens, Data: pr.result}}, nil
+		return &pendingOp{ready: pr.response(wire.StatusOK)}, nil
 	}
 	rt.hop("issued %d fetches", len(pr.fetches))
 	return &pendingOp{read: pr}, nil
@@ -583,25 +462,11 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	defer pr.releaseBudget()
 	var firstErr error
 	for _, f := range pr.fetches {
-		res := <-f.ch
-		if res.Err != nil {
-			t.abortRuns(f.runs, res.Err)
-			if firstErr == nil {
-				firstErr = res.Err
-			}
-			pr.trace.hop("fetch iod=%d failed: %v", f.iod, res.Err)
-			continue
-		}
-		err := t.fillFromResponse(pr, f, res.Msg)
-		// The response payload has been copied into the run slabs (or
-		// rejected); its leased frame buffer is dead either way.
-		res.Release()
-		if err != nil {
-			t.abortRuns(f.runs, err)
+		if err := t.m.landFetch(f, pr.admit); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
-			pr.trace.hop("fetch iod=%d rejected: %v", f.iod, err)
+			pr.trace.hop("fetch iod=%d failed: %v", f.iod, err)
 			continue
 		}
 		pr.trace.hop("fetch iod=%d landed (%d runs)", f.iod, len(f.runs))
@@ -651,10 +516,140 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 		return nil, firstErr
 	}
 	pr.trace.finish("ok")
-	if pr.vector {
-		return &wire.ReadBlocksResp{Status: wire.StatusOK, Lens: pr.lens, Data: pr.result}, nil
+	return pr.response(wire.StatusOK), nil
+}
+
+// --- miss engine ---
+//
+// Every iod read the module issues for the cache — a demand request's
+// owned misses and a readahead window alike — is grouped into runs
+// (runsOf), put on the wire (issueRuns), and landed block by block
+// (landFetch → fillRun). The claims' fetchState.prefetch flag selects the
+// speculative rules for readahead blocks inside fillRun.
+
+// runsOf groups claimed blocks (ascending by block index) into runs of
+// consecutive indices: one extent each of a vectored fetch. A demand
+// claim carries its request span and destination; a prefetch claim has
+// no destination and contributes no span.
+func runsOf(owned []ownedSpan) []fetchRun {
+	var runs []fetchRun
+	for start := 0; start < len(owned); {
+		end := start + 1
+		for end < len(owned) && owned[end].sp.Key.Index == owned[end-1].sp.Key.Index+1 {
+			end++
+		}
+		run := fetchRun{firstIdx: owned[start].sp.Key.Index}
+		for _, o := range owned[start:end] {
+			run.keys = append(run.keys, o.sp.Key)
+			run.states = append(run.states, o.st)
+			if o.dst != nil {
+				run.spans = append(run.spans, tgtSpan{sp: o.sp, dst: o.dst})
+			}
+		}
+		runs = append(runs, run)
+		start = end
 	}
-	return &wire.ReadResp{Status: wire.StatusOK, Data: pr.result}, nil
+	return runs
+}
+
+// issueRuns puts runs on the wire to one iod: one vectored ReadBlocks
+// carrying every run as an extent, split only where a frame cannot carry
+// more. Every frame is in flight before any response is awaited. On a
+// send error the runs not yet issued are aborted, and the fetches already
+// in flight are returned with the error for the caller to settle.
+func (m *Module) issueRuns(iod int, file blockio.FileID, track bool, runs []fetchRun) ([]fetch, error) {
+	bs := m.buf.BlockSize()
+	// Rounding spans up to whole blocks can inflate a fetch far past the
+	// original request bytes (sub-block extents each cost a full block),
+	// so bound every run — and every vectored batch of runs — by what one
+	// response frame can carry, splitting into several round trips when
+	// necessary.
+	maxBlocks := wire.MaxFrameBlocks(bs)
+	runs = splitRuns(runs, maxBlocks)
+	var fs []fetch
+	for start := 0; start < len(runs); {
+		batch := runs[start : start+1]
+		blocks := len(runs[start].keys)
+		for end := start + 1; end < len(runs) && blocks+len(runs[end].keys) <= maxBlocks; end++ {
+			blocks += len(runs[end].keys)
+			batch = runs[start : end+1]
+		}
+		exts := make([]wire.ReadExtent, len(batch))
+		for i, run := range batch {
+			exts[i] = wire.ReadExtent{
+				Offset: run.firstIdx * int64(bs),
+				Length: int64(len(run.keys)) * int64(bs),
+			}
+		}
+		ch, err := m.data[iod].Go(&wire.ReadBlocks{
+			Client: m.cfg.ClientID,
+			File:   file,
+			Track:  track,
+			Exts:   exts,
+		})
+		if err != nil {
+			// The failing batch AND the not-yet-issued ones: all their
+			// fetch-table claims must be released, or later readers of
+			// those blocks would wait forever.
+			m.abortRuns(runs[start:], err)
+			return fs, err
+		}
+		fs = append(fs, fetch{iod: iod, ch: ch, runs: batch})
+		start += len(batch)
+	}
+	return fs, nil
+}
+
+// splitRuns bounds every run at maxBlocks consecutive blocks, splitting
+// oversized ones (a sub-block-striped request can round up to far more
+// block bytes than it asked for) into several runs that fetch separately.
+func splitRuns(runs []fetchRun, maxBlocks int) []fetchRun {
+	out := make([]fetchRun, 0, len(runs))
+	for _, run := range runs {
+		if len(run.keys) <= maxBlocks {
+			out = append(out, run)
+			continue
+		}
+		spanAt := 0
+		for start := 0; start < len(run.keys); start += maxBlocks {
+			end := start + maxBlocks
+			if end > len(run.keys) {
+				end = len(run.keys)
+			}
+			sub := fetchRun{
+				firstIdx: run.keys[start].Index,
+				keys:     run.keys[start:end],
+				states:   run.states[start:end],
+			}
+			lastIdx := run.keys[end-1].Index
+			// Spans are ordered by block, so a cursor partitions them.
+			spanStart := spanAt
+			for spanAt < len(run.spans) && run.spans[spanAt].sp.Key.Index <= lastIdx {
+				spanAt++
+			}
+			sub.spans = run.spans[spanStart:spanAt]
+			out = append(out, sub)
+		}
+	}
+	return out
+}
+
+// landFetch waits for one fetch's response and fills its runs from it.
+// A failed or rejected response aborts every run that did not fill, so
+// each claimed state is settled exactly once either way.
+func (m *Module) landFetch(f fetch, admit admitMode) error {
+	res := <-f.ch
+	err := res.Err
+	if err == nil {
+		err = m.fillFromResponse(f, res.Msg, admit)
+		// The response payload has been copied into the run slabs (or
+		// rejected); its leased frame buffer is dead either way.
+		res.Release()
+	}
+	if err != nil {
+		m.abortRuns(f.runs, err)
+	}
+	return err
 }
 
 // fillFromResponse installs a fetch's blocks from its ReadBlocksResp (one
@@ -662,7 +657,7 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 // spans into their destinations. Validation runs over every run before
 // any run is filled, so a hostile response is rejected whole rather than
 // half-published.
-func (t *CachedTransport) fillFromResponse(pr *pendingRead, f fetch, msg wire.Message) error {
+func (m *Module) fillFromResponse(f fetch, msg wire.Message, admit admitMode) error {
 	rr, ok := msg.(*wire.ReadBlocksResp)
 	if !ok {
 		return fmt.Errorf("cachemod: fetch failed: %v", msg.WireType())
@@ -675,7 +670,7 @@ func (t *CachedTransport) fillFromResponse(pr *pendingRead, f fetch, msg wire.Me
 	if len(rr.Lens) != len(f.runs) {
 		return fmt.Errorf("cachemod: vectored fetch returned %d extents, want %d", len(rr.Lens), len(f.runs))
 	}
-	bs := t.m.buf.BlockSize()
+	bs := m.buf.BlockSize()
 	for i, run := range f.runs {
 		// Decode guarantees the lengths tile Data, but only the requester
 		// knows what was asked for: an overlong length would shift every
@@ -689,7 +684,7 @@ func (t *CachedTransport) fillFromResponse(pr *pendingRead, f fetch, msg wire.Me
 	data := rr.Data
 	for i, run := range f.runs {
 		served := int(rr.Lens[i])
-		if err := t.fillRun(f.iod, run, data[:served], pr.admit); err != nil {
+		if err := m.fillRun(f.iod, run, data[:served], admit); err != nil {
 			// fillRun settled its own run's states; the caller's abortRuns
 			// sweep closes the runs that never filled.
 			return err
@@ -710,63 +705,80 @@ func (t *CachedTransport) fillFromResponse(pr *pendingRead, f fetch, msg wire.Me
 // (admitNever: don't-cache hint or streaming bypass) skips the install
 // and the global-cache push — the slab serves the request and any
 // joiners, then returns to its pool.
-func (t *CachedTransport) fillRun(iod int, run fetchRun, data []byte, admit admitMode) error {
-	bs := t.m.buf.BlockSize()
+//
+// Prefetched blocks (fetchState.prefetch) are speculative and follow
+// three rules of their own: a block the iod served nothing for is dropped,
+// not zero-filled — a short answer can also mean the window ran outside
+// the data this iod holds, so a demand read decides; a stale install is
+// dropped (module.prefetch_stale_drops) rather than re-read; and a
+// published block gets a readahead mark instead of a global-cache push.
+// A dropped state closes with no data, so its joiners fall back to a
+// synchronous fetch of their own.
+func (m *Module) fillRun(iod int, run fetchRun, data []byte, admit admitMode) error {
+	bs := m.buf.BlockSize()
 	// One zero-padded slab for the whole run; the published per-block
 	// buffers are read-only slices of it.
-	slab, mem := t.m.getSlab(len(run.keys) * bs)
+	slab, mem := m.getSlab(len(run.keys) * bs)
 	n := copy(slab, data)
 	zeroFill(slab[n:])
 	for i, key := range run.keys {
 		blockData := slab[i*bs : (i+1)*bs]
 		st := run.states[i]
+		if st.prefetch && i*bs >= n {
+			m.dropFetch(key, st)
+			continue
+		}
+		// The install (or, read-around, the resident patch) presents the
+		// stamp snapshotted when the fetch was issued: the image must be
+		// patched with any newer resident bytes before the destinations,
+		// the waiters, or the global cache see it, and if the block was
+		// written mid-flight — possibly flushed and evicted, leaving
+		// nothing resident to patch from — the image is refused whole
+		// (OutcomeStale) and re-read from the iod against a fresh stamp.
+		// The loop terminates when a re-read lands with no concurrent
+		// write to its block.
 		stamp := st.stamp
-		for {
-			// The install (or, read-around, the resident patch) presents
-			// the stamp snapshotted when the fetch was issued: the image
-			// must be patched with any newer resident bytes before the
-			// destinations, the waiters, or the global cache see it, and
-			// if the block was written mid-flight — possibly flushed and
-			// evicted, leaving nothing resident to patch from — the image
-			// is refused whole (OutcomeStale) and re-read from the iod
-			// against a fresh stamp. The loop terminates when a re-read
-			// lands with no concurrent write to its block.
-			var oc buffer.Outcome
-			if admit == admitNever {
-				oc = t.m.buf.PatchResident(key, blockData, stamp)
-			} else {
-				oc = t.m.buf.InstallFetchedAdmit(key, iod, blockData, admit == admitMust, stamp)
-			}
-			if oc != buffer.OutcomeStale {
-				break
-			}
-			t.m.cfg.Registry.Counter("module.fetch_stale_retries").Inc()
-			stamp = t.m.buf.WriteStamp(key)
-			if err := t.m.readBlockInto(iod, key, blockData); err != nil {
-				// Settle this run: earlier states were published (their
-				// joiners and the done-channel protocol own them; drop
-				// only our hold), the rest abort with the error.
+		oc := m.installFetched(key, iod, blockData, admit, stamp)
+		for oc == buffer.OutcomeStale && !st.prefetch {
+			m.cfg.Registry.Counter("module.fetch_stale_retries").Inc()
+			stamp = m.buf.WriteStamp(key)
+			if err := m.readBlockInto(iod, key, blockData); err != nil {
+				// Settle this run: earlier states were published or
+				// dropped (their joiners and the done-channel protocol own
+				// them; drop only our hold), the rest abort with the
+				// error.
 				for j := 0; j < i; j++ {
 					run.states[j].decref()
 				}
-				t.abortRuns([]fetchRun{{keys: run.keys[i:], states: run.states[i:]}}, err)
+				m.abortRuns([]fetchRun{{keys: run.keys[i:], states: run.states[i:]}}, err)
 				mem.release()
 				return err
 			}
+			oc = m.installFetched(key, iod, blockData, admit, stamp)
+		}
+		if oc == buffer.OutcomeStale {
+			m.cfg.Registry.Counter("module.prefetch_stale_drops").Inc()
+			m.dropFetch(key, st)
+			continue
 		}
 		st.finalStamp = stamp
-		switch admit {
-		case admitNever:
-			t.m.buf.NoteBypass(key)
-		default:
-			if t.m.gcNode != nil {
-				// Feed the global cache: the block's home node gets a copy
-				// (made before Push returns, so the slab's lifetime is not
-				// extended by the asynchronous push).
-				t.m.gcNode.Push(key, iod, blockData)
-			}
+		switch {
+		case st.prefetch:
+		case admit == admitNever:
+			m.buf.NoteBypass(key)
+		case m.gcNode != nil:
+			// Feed the global cache: the block's home node gets a copy
+			// (made before Push returns, so the slab's lifetime is not
+			// extended by the asynchronous push).
+			m.gcNode.Push(key, iod, blockData)
 		}
-		t.m.publishFetched(st, key, blockData, mem)
+		m.publishFetched(st, key, blockData, mem)
+		if st.prefetch {
+			if admit != admitNever {
+				m.markPrefetched(key)
+			}
+			m.cfg.Registry.Counter("module.prefetch_blocks").Inc()
+		}
 	}
 	for _, ts := range run.spans {
 		lo := int(ts.sp.Key.Index-run.firstIdx)*bs + ts.sp.Off
@@ -781,37 +793,50 @@ func (t *CachedTransport) fillRun(iod int, run fetchRun, data []byte, admit admi
 	return nil
 }
 
+// installFetched installs (or, read-around, only patches) one fetched
+// whole-block image under the request's admission mode.
+func (m *Module) installFetched(key blockio.BlockKey, iod int, data []byte, admit admitMode, stamp uint32) buffer.Outcome {
+	if admit == admitNever {
+		return m.buf.PatchResident(key, data, stamp)
+	}
+	return m.buf.InstallFetchedAdmit(key, iod, data, admit == admitMust, stamp)
+}
+
+// dropFetch settles a claimed state with no data: the table entry goes
+// and its joiners wake to fetch for themselves. The owner's hold is
+// dropped by the caller with the rest of its run.
+func (m *Module) dropFetch(key blockio.BlockKey, st *fetchState) {
+	m.fetchMu.Lock()
+	if m.fetches[key] == st {
+		delete(m.fetches, key)
+	}
+	m.fetchMu.Unlock()
+	close(st.done)
+}
+
 // abortRuns publishes a fetch failure to waiters and clears the table.
-// States already published by a successful fillRun are left untouched;
-// for the rest, the owner's reference is dropped with the close.
-func (t *CachedTransport) abortRuns(runs []fetchRun, err error) {
+// States already settled by fillRun are left untouched; for the rest, the
+// owner's reference is dropped with the close.
+func (m *Module) abortRuns(runs []fetchRun, err error) {
 	for _, run := range runs {
 		for i, key := range run.keys {
 			st := run.states[i]
-			if st == nil {
-				continue
-			}
-			t.m.fetchMu.Lock()
-			if t.m.fetches[key] == st {
-				delete(t.m.fetches, key)
-			}
-			t.m.fetchMu.Unlock()
 			select {
 			case <-st.done:
 			default:
 				st.err = err
-				close(st.done)
+				m.dropFetch(key, st)
 				st.decref()
 			}
 		}
 	}
 }
 
-func (t *CachedTransport) abortFetches(fs []fetch, err error) {
+func (m *Module) abortFetches(fs []fetch, err error) {
 	for _, f := range fs {
 		// No drain needed: responses demultiplex by tag and the result
 		// channel is buffered, so an abandoned fetch cannot stall others.
-		t.abortRuns(f.runs, err)
+		m.abortRuns(f.runs, err)
 	}
 }
 

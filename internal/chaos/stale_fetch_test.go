@@ -13,7 +13,7 @@ import (
 // within the fetch's flight — at which point the install's "resident
 // bytes win" patch has nothing left to patch from, and the fetched
 // (older) image would silently shadow the write. The write-stamp check
-// in buffer.InstallFetched rejects such installs (OutcomeStale) and the
+// in buffer.InstallFetchedAdmit rejects such installs (OutcomeStale) and the
 // module re-reads.
 //
 // The race needs real pressure to open: enough concurrent clients that

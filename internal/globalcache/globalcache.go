@@ -22,12 +22,10 @@
 //   - Every peer RPC is bounded by Options.FetchTimeout and every peer
 //     client runs the rpc health breaker, so a dead peer costs a bounded
 //     error and is then ejected until a background probe readmits it.
-//   - In dynamic mode (Options.MgrAddr set) the node joins the
-//     mgr-coordinated view at start, refreshes it periodically, carries
-//     the view's epoch on every peer RPC, and answers mismatched epochs
-//     with StatusStaleEpoch so both sides converge on the mgr's view.
-//     Static mode (Options.Peers) pins an epoch-1 view for ablation and
-//     unit tests.
+//   - The node joins the mgr-coordinated view (Options.MgrAddr) at
+//     start, refreshes it periodically, carries the view's epoch on every
+//     peer RPC, and answers mismatched epochs with StatusStaleEpoch so
+//     both sides converge on the mgr's view.
 package globalcache
 
 import (
@@ -57,21 +55,18 @@ const (
 	DefaultRefreshInterval = 500 * time.Millisecond
 )
 
-// Options assembles a node's view of the global cache. Exactly one of
-// Peers (static membership) or MgrAddr (mgr-coordinated membership) must
-// be set.
+// Options assembles a node's view of the global cache. MgrAddr is
+// required.
 type Options struct {
 	// SelfID is this node's stable member ID.
 	SelfID uint32
 	// SelfAddr is the advertised peer-service address. Empty means "use
-	// the listener's address" — the normal dynamic-mode shape, where the
-	// node listens on ":0"-style addresses and advertises the result.
+	// the listener's address" — the normal shape, where the node listens
+	// on ":0"-style addresses and advertises the result.
 	SelfAddr string
 
-	// Peers fixes the member list at boot (static mode, epoch 1).
-	Peers []membership.Member
-	// MgrAddr selects dynamic mode: join the mgr's view at start, refresh
-	// it periodically, leave on Close.
+	// MgrAddr is the mgr that coordinates membership: the node joins its
+	// view at start, refreshes it periodically, and leaves on Close.
 	MgrAddr string
 
 	// VNodes and Replicas shape the consistent-hash ring
@@ -82,8 +77,8 @@ type Options struct {
 	// FetchTimeout bounds each peer round trip — one vectored probe of a
 	// primary group, or one coalesced push; ProbeInterval and
 	// FailThreshold configure the per-peer health breaker;
-	// RefreshInterval paces dynamic-mode view refreshes. Zero selects the
-	// package defaults.
+	// RefreshInterval paces view refreshes. Zero selects the package
+	// defaults.
 	FetchTimeout    time.Duration
 	ProbeInterval   time.Duration
 	FailThreshold   int
@@ -123,7 +118,7 @@ type Node struct {
 	l   transport.Listener
 	srv *rpc.Server
 
-	mc   *membership.Client // nil in static mode
+	mc   *membership.Client
 	ring atomic.Pointer[membership.Ring]
 
 	refreshMu sync.Mutex // serializes view refreshes (single-flight)
@@ -184,14 +179,14 @@ type pushItem struct {
 }
 
 // Start brings up a node's global cache on l: serve the local buffer
-// manager to peers, join (dynamic mode) or pin (static mode) the
-// membership view, and start the push forwarder and view refresher.
+// manager to peers, join the mgr's membership view, and start the push
+// forwarder and view refresher.
 func Start(opts Options, buf *buffer.Manager, l transport.Listener, network transport.Network, reg *metrics.Registry) (*Node, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	if (len(opts.Peers) == 0) == (opts.MgrAddr == "") {
-		return nil, errors.New("globalcache: exactly one of Peers and MgrAddr must be set")
+	if opts.MgrAddr == "" {
+		return nil, errors.New("globalcache: Options.MgrAddr is required")
 	}
 	if opts.SelfAddr == "" {
 		opts.SelfAddr = l.Addr()
@@ -209,47 +204,36 @@ func Start(opts Options, buf *buffer.Manager, l transport.Listener, network tran
 		stop:   make(chan struct{}),
 	}
 
-	var view membership.View
-	if opts.MgrAddr != "" {
-		n.mc = membership.NewClient(network, opts.MgrAddr, 0)
-		v, err := n.mc.Join(opts.SelfID, opts.SelfAddr)
-		if err != nil {
-			n.mc.Close()
-			return nil, fmt.Errorf("globalcache: joining view via %s: %w", opts.MgrAddr, err)
-		}
-		view = v
-	} else {
-		view = membership.View{Epoch: 1, Members: append([]membership.Member(nil), opts.Peers...)}
+	n.mc = membership.NewClient(network, opts.MgrAddr, 0)
+	view, err := n.mc.Join(opts.SelfID, opts.SelfAddr)
+	if err != nil {
+		n.mc.Close()
+		return nil, fmt.Errorf("globalcache: joining view via %s: %w", opts.MgrAddr, err)
 	}
 	n.ring.Store(membership.NewRing(view, opts.VNodes, opts.Replicas))
 
 	n.srv = rpc.NewServer(rpc.HandlerFunc(n.handle), rpc.ServerConfig{AfterWrite: n.recycle})
 	go n.srv.Serve(l)
 
-	n.wg.Add(1)
+	n.wg.Add(2)
 	go n.pushLoop()
-	if n.mc != nil {
-		n.wg.Add(1)
-		go n.refreshLoop()
-	}
+	go n.refreshLoop()
 	return n, nil
 }
 
 // Ring returns the node's current ring (test and bench introspection).
 func (n *Node) Ring() *membership.Ring { return n.ring.Load() }
 
-// Close leaves the view (dynamic mode), stops the forwarder and
-// refresher, and closes the service and every peer connection.
+// Close leaves the view, stops the forwarder and refresher, and closes
+// the service and every peer connection.
 func (n *Node) Close() error {
 	n.once.Do(func() { close(n.stop) })
 	n.wg.Wait()
-	if n.mc != nil {
-		// Best-effort deregistration: the mgr drops us from the view so
-		// surviving peers stop routing to this address after their next
-		// refresh. A dead mgr must not block shutdown.
-		n.mc.Leave(n.opts.SelfID) //nolint:errcheck
-		n.mc.Close()
-	}
+	// Best-effort deregistration: the mgr drops us from the view so
+	// surviving peers stop routing to this address after their next
+	// refresh. A dead mgr must not block shutdown.
+	n.mc.Leave(n.opts.SelfID) //nolint:errcheck
+	n.mc.Close()
 	err := n.l.Close()
 	n.srv.Close()
 	n.mu.Lock()
@@ -369,9 +353,6 @@ func (n *Node) refreshLoop() {
 // refreshView fetches the current view and swaps the ring if the epoch
 // moved. Concurrent callers collapse onto one fetch.
 func (n *Node) refreshView() bool {
-	if n.mc == nil {
-		return false
-	}
 	n.refreshMu.Lock()
 	defer n.refreshMu.Unlock()
 	v, err := n.mc.Fetch()
@@ -390,7 +371,7 @@ func (n *Node) refreshView() bool {
 // asyncRefresh schedules a refreshView off the caller's goroutine,
 // single-flight: one pending refresh at a time.
 func (n *Node) asyncRefresh() {
-	if n.mc == nil || !n.refreshQ.CompareAndSwap(false, true) {
+	if !n.refreshQ.CompareAndSwap(false, true) {
 		return
 	}
 	go func() {

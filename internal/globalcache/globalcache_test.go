@@ -18,8 +18,8 @@ import (
 
 const testBlock = 64
 
-// rig is a static-membership cluster of global-cache nodes on one
-// in-memory network.
+// rig is a cluster of global-cache nodes on one in-memory network whose
+// membership a pinnedMgr fixes.
 type rig struct {
 	net   transport.Network
 	bufs  []*buffer.Manager
@@ -41,6 +41,7 @@ func newRigOn(t *testing.T, net transport.Network, count, replicas, bs, capacity
 	for i := range members {
 		members[i] = membership.Member{ID: uint32(i), Addr: addrOf(i)}
 	}
+	pinnedMgr(t, net, "rig-mgr", members)
 	for i := 0; i < count; i++ {
 		// One shard: capacity is then exact, not split across stripes.
 		buf := buffer.New(buffer.Config{BlockSize: bs, Capacity: capacity, Shards: 1})
@@ -50,7 +51,7 @@ func newRigOn(t *testing.T, net transport.Network, count, replicas, bs, capacity
 		}
 		o := opts
 		o.SelfID = uint32(i)
-		o.Peers = members
+		o.MgrAddr = "rig-mgr"
 		o.Replicas = replicas
 		if o.FetchTimeout == 0 {
 			o.FetchTimeout = 100 * time.Millisecond
@@ -338,12 +339,13 @@ func TestDeadPeerDegradesInBoundedTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinnedMgr(t, net, "mgr", []membership.Member{
+		{ID: 0, Addr: "self-gc"},
+		{ID: 1, Addr: "blackhole"},
+	})
 	n, err := Start(Options{
-		SelfID: 0,
-		Peers: []membership.Member{
-			{ID: 0, Addr: "self-gc"},
-			{ID: 1, Addr: "blackhole"},
-		},
+		SelfID:       0,
+		MgrAddr:      "mgr",
 		Replicas:     1,
 		FetchTimeout: 50 * time.Millisecond,
 	}, buf, l, net, nil)
@@ -370,14 +372,8 @@ func TestStartRejectsBadOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := Start(Options{}, buf, l, net, nil); err == nil {
-		t.Fatal("no membership mode accepted")
-	}
-	if _, err := Start(Options{
-		Peers:   []membership.Member{{ID: 0, Addr: "x"}},
-		MgrAddr: "mgr",
-	}, buf, l, net, nil); err == nil {
-		t.Fatal("both membership modes accepted")
+	if _, err := Start(Options{SelfAddr: "x"}, buf, l, net, nil); err == nil {
+		t.Fatal("options without MgrAddr accepted")
 	}
 }
 
@@ -459,6 +455,28 @@ func fakeMgr(t *testing.T, net transport.Network, addr string) *membership.Track
 	go s.Serve(l)
 	t.Cleanup(func() { l.Close(); s.Close() })
 	return tr
+}
+
+// pinnedMgr answers the membership view protocol with one fixed epoch-1
+// view of members, whoever joins or leaves: a cluster whose ring the test
+// chooses, stub and dead peers included.
+func pinnedMgr(t *testing.T, net transport.Network, addr string, members []membership.Member) {
+	t.Helper()
+	view := membership.ViewToResp(membership.View{Epoch: 1, Members: members})
+	l, err := net.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rpc.NewServer(rpc.HandlerFunc(func(m wire.Message) wire.Message {
+		switch m.(type) {
+		case *wire.ViewGet, *wire.JoinView, *wire.LeaveView:
+			return view
+		default:
+			return nil
+		}
+	}), rpc.ServerConfig{})
+	go s.Serve(l)
+	t.Cleanup(func() { l.Close(); s.Close() })
 }
 
 // TestDynamicJoinAndStaleEpochConvergence boots two nodes against a fake

@@ -51,16 +51,7 @@ type Server struct {
 	servers []*rpc.Server
 
 	readBufs rpc.BufPool // read buffers, recycled after each response is written
-
-	observer AccessObserver
 }
-
-// AccessObserver receives one callback per block touched by client
-// traffic. It feeds the sharing-pattern classifier (internal/sharing) —
-// the paper's "classify different sharing patterns" ongoing-work item.
-// Callbacks run on request-serving goroutines and must be fast and
-// thread-safe.
-type AccessObserver func(client uint32, file blockio.FileID, block int64, write bool)
 
 type holderSet map[uint32]struct{}
 
@@ -182,20 +173,6 @@ func (s *Server) handleFlush(msg wire.Message) wire.Message {
 	return s.flush(m)
 }
 
-// SetObserver installs the access observer. Call before serving traffic.
-func (s *Server) SetObserver(obs AccessObserver) { s.observer = obs }
-
-// observe reports every block of a range to the observer, if any.
-func (s *Server) observe(client uint32, file blockio.FileID, off, length int64, write bool) {
-	if s.observer == nil || client == 0 {
-		return
-	}
-	first, count := blockio.BlockRange(off, length, s.blockSize)
-	for i := int64(0); i < count; i++ {
-		s.observer(client, file, first+i, write)
-	}
-}
-
 // RegisterClient records the invalidation address for a client cache.
 // Re-registering replaces the address and drops any cached connection.
 func (s *Server) RegisterClient(client uint32, addr string) {
@@ -227,7 +204,6 @@ func (s *Server) read(m *wire.Read) *wire.ReadResp {
 	if m.Track && m.Client != 0 {
 		s.trackHolders(m.Client, m.File, m.Offset, m.Length)
 	}
-	s.observe(m.Client, m.File, m.Offset, m.Length, false)
 	return &wire.ReadResp{Status: wire.StatusOK, Data: buf[:n]}
 }
 
@@ -257,7 +233,6 @@ func (s *Server) readBlocks(m *wire.ReadBlocks) *wire.ReadBlocksResp {
 		if m.Track && m.Client != 0 {
 			s.trackHolders(m.Client, m.File, e.Offset, e.Length)
 		}
-		s.observe(m.Client, m.File, e.Offset, e.Length, false)
 	}
 	s.reg.Counter("iod.reads").Inc()
 	s.reg.Counter("iod.vector_reads").Inc()
@@ -276,7 +251,6 @@ func (s *Server) write(m *wire.Write) *wire.WriteAck {
 	}
 	s.reg.Counter("iod.writes").Inc()
 	s.reg.Counter("iod.write_bytes").Add(int64(len(m.Data)))
-	s.observe(m.Client, m.File, m.Offset, int64(len(m.Data)), true)
 	return &wire.WriteAck{Status: wire.StatusOK}
 }
 
@@ -320,9 +294,6 @@ func (s *Server) flush(m *wire.Flush) *wire.FlushAck {
 			if m.Client != 0 {
 				s.addHolder(m.Client, blockio.BlockKey{File: m.File, Index: first + i})
 			}
-			if s.observer != nil && m.Client != 0 {
-				s.observer(m.Client, m.File, first+i, true)
-			}
 		}
 	}
 	s.reg.Counter("iod.flushes").Inc()
@@ -341,7 +312,6 @@ func (s *Server) syncWrite(m *wire.SyncWrite) *wire.SyncWriteAck {
 		return &wire.SyncWriteAck{Status: wire.StatusFor(err)}
 	}
 	s.reg.Counter("iod.sync_writes").Inc()
-	s.observe(m.Client, m.File, m.Offset, int64(len(m.Data)), true)
 
 	victims := s.collectVictims(m.Client, m.File, m.Offset, int64(len(m.Data)))
 	invalidated := uint32(0)

@@ -62,27 +62,6 @@ func (v View) Clone() View {
 	return out
 }
 
-// IndexOf returns the position of the member with the given ID, or -1.
-func (v View) IndexOf(id uint32) int {
-	for i, m := range v.Members {
-		if m.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// StaticView builds a fixed epoch-1 view from an ordered address list;
-// member i gets ID i. It is the bootstrap shape for clusters that never
-// change membership (unit tests, ablation benchmarks).
-func StaticView(addrs []string) View {
-	v := View{Epoch: 1, Members: make([]Member, len(addrs))}
-	for i, a := range addrs {
-		v.Members[i] = Member{ID: uint32(i), Addr: a}
-	}
-	return v
-}
-
 // mix64 is splitmix64's finalizer — the same avalanche the rest of the
 // system hashes with (blockio.BlockKey.Mix, buffer shard routing).
 func mix64(x uint64) uint64 {
