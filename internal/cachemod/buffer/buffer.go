@@ -455,6 +455,12 @@ func (m *Manager) Contains(key blockio.BlockKey, off, length int) bool {
 	return m.shardFor(key).contains(key, off, length)
 }
 
+// Flushing reports whether a flush snapshot of the block is in flight:
+// taken for flushing and not yet settled by FlushDone or FlushFailed.
+func (m *Manager) Flushing(key blockio.BlockKey) bool {
+	return m.shardFor(key).isFlushing(key)
+}
+
 // WriteSpan applies src at offset off of the block, marking the span dirty
 // when markDirty is set (the write-behind path) or merely valid when it is
 // clear (the sync-write path, whose data is simultaneously persisted at the
@@ -568,9 +574,11 @@ func (m *Manager) PatchResident(key blockio.BlockKey, data []byte, stamp uint32)
 // request that joined later may have begun after further writes were
 // acked into the cache; re-overlaying at copy time serves the node's
 // newest view instead of the pre-write snapshot. A non-resident block
-// leaves dst untouched.
-func (m *Manager) OverlaySpan(key blockio.BlockKey, off int, dst []byte) {
-	m.shardFor(key).overlaySpan(key, off, dst)
+// leaves dst untouched. It reports whether the resident valid bytes
+// covered the whole span: dst then holds exactly what a cache hit would
+// have served, whatever the snapshot's age.
+func (m *Manager) OverlaySpan(key blockio.BlockKey, off int, dst []byte) bool {
+	return m.shardFor(key).overlaySpan(key, off, dst)
 }
 
 // NoteBypass counts one block intentionally served around the cache (the

@@ -89,6 +89,14 @@ func (s *shard) contains(key blockio.BlockKey, off, length int) bool {
 	return ok && covers(b.validOff, b.validLen, off, length)
 }
 
+// isFlushing is Flushing for keys routed to this shard.
+func (s *shard) isFlushing(key blockio.BlockKey) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.table[key]
+	return ok && b.flushing
+}
+
 // writeSpan is WriteSpan for keys routed to this shard. tenant is charged
 // if the write dirties a clean block (see Manager.WriteSpanTenant).
 func (s *shard) writeSpan(key blockio.BlockKey, owner, off int, src []byte, markDirty bool, tenant uint32) Outcome {
@@ -166,17 +174,18 @@ func (s *shard) installFetched(key blockio.BlockKey, owner int, data []byte, mus
 }
 
 // overlaySpan is OverlaySpan for keys routed to this shard.
-func (s *shard) overlaySpan(key blockio.BlockKey, off int, dst []byte) {
+func (s *shard) overlaySpan(key blockio.BlockKey, off int, dst []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.table[key]
 	if !ok || b.validLen == 0 {
-		return
+		return false
 	}
 	lo, hi := max(b.validOff, off), min(b.validOff+b.validLen, off+len(dst))
 	if lo < hi {
 		copy(dst[lo-off:], b.data[lo:hi])
 	}
+	return lo == off && hi == off+len(dst)
 }
 
 // patchResident is PatchResident for keys routed to this shard.

@@ -235,7 +235,7 @@ func TestFillFromResponseRejectsOverlongLens(t *testing.T) {
 		Lens:   []uint32{4096 + 1024, 3072}, // extent 0 overlong; sum still tiles
 		Data:   make([]byte, 2*4096),
 	}
-	err := r.mod.fillFromResponse(fetch{iod: 0, runs: runs}, rr, admitDefault)
+	_, err := r.mod.fillFromResponse(fetch{iod: 0, runs: runs}, rr, admitDefault)
 	if err == nil {
 		t.Fatal("overlong extent length accepted")
 	}

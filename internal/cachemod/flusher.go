@@ -273,6 +273,9 @@ func (s *flushStream) sendChunks(chunks []flushChunk) error {
 		go func(c flushChunk) {
 			defer wg.Done()
 			defer func() { <-sem }()
+			// Settled either way: wake stalled writers, and sync writes
+			// waiting for this chunk's blocks to leave flight.
+			defer m.signalSpace()
 			res := s.client.Call(c.msg)
 			err := res.Err
 			if err == nil {
@@ -295,7 +298,6 @@ func (s *flushStream) sendChunks(chunks []flushChunk) error {
 			if merged := len(c.items) - len(c.msg.Blocks); merged > 0 {
 				reg.Counter("module.flush_coalesced").Add(int64(merged))
 			}
-			m.signalSpace()
 		}(c)
 	}
 	wg.Wait()

@@ -86,7 +86,8 @@ type Config struct {
 	// at a time (ablation baseline).
 	FlushWindow int
 	// WriteStall bounds how long a write blocks waiting for cache space
-	// before falling back to write-through (default 2s).
+	// before falling back to write-through (default 2s), and how long a
+	// sync write waits for in-flight flushes of its blocks.
 	WriteStall time.Duration
 	// TenantDirtyQuota bounds one tagged tenant's share of the cache's
 	// dirty frames: a tenant may hold at most TenantDirtyQuota × capacity
@@ -109,10 +110,6 @@ type Config struct {
 	// than WriteStall: a shed is a fast, explicit retry signal
 	// (wire.StatusOverload → pvfs.Client backoff), not a stall.
 	OverloadStall time.Duration
-	// RPCConns is the connection-pool size per iod port (default
-	// rpc.DefaultConns). More connections let more of the node's
-	// processes keep requests in flight against one iod concurrently.
-	RPCConns int
 	// ReadaheadWindow is how many blocks the scan-readahead prefetcher
 	// keeps in flight ahead of a detected scan — ascending, strided or
 	// backward (default 8, capped at 1024; negative disables readahead).
@@ -252,12 +249,10 @@ type fetchState struct {
 	// stamp is the block's buffer write stamp recorded when the fetch was
 	// registered in the table; the install presents it so an image that
 	// predates a write applied (and possibly flushed and evicted) during
-	// the flight is refused and re-read (buffer.OutcomeStale). finalStamp
-	// is the stamp the successful install validated against — set before
-	// done closes, it lets late joiners detect writes that landed after
-	// publication and fall back to a synchronous fetch.
-	stamp      uint32
-	finalStamp uint32
+	// the flight is refused (buffer.OutcomeStale) and never published. A
+	// published image is therefore current as of stamp, which lets late
+	// joiners detect writes that landed after publication and re-fetch.
+	stamp uint32
 
 	refs atomic.Int32
 	mem  *memRef // backing allocation of data; nil until published
@@ -287,7 +282,7 @@ type Module struct {
 	flush []*rpc.Client // per-iod flush-port clients
 
 	// slabs recycles fetched-run assembly buffers, blocks recycles
-	// whole-block buffers (peer gets, read-modify-write fetches).
+	// whole-block buffers (peer gets).
 	slabs  rpc.BufPool
 	blocks rpc.BufPool
 
@@ -377,12 +372,12 @@ func New(cfg Config) (*Module, error) {
 	m.spaceCond = sync.NewCond(&m.spaceMu)
 	for _, addr := range cfg.IODDataAddrs {
 		m.data = append(m.data, rpc.NewClient(rpc.ClientConfig{
-			Network: cfg.Network, Addr: addr, Conns: cfg.RPCConns,
+			Network: cfg.Network, Addr: addr, Conns: rpc.DefaultConns,
 		}))
 	}
 	for _, addr := range cfg.IODFlushAddrs {
 		m.flush = append(m.flush, rpc.NewClient(rpc.ClientConfig{
-			Network: cfg.Network, Addr: addr, Conns: cfg.RPCConns,
+			Network: cfg.Network, Addr: addr, Conns: rpc.DefaultConns,
 		}))
 	}
 
@@ -845,69 +840,3 @@ func (m *Module) readAdmitMode(file blockio.FileID) admitMode {
 	}
 	return admitDefault
 }
-
-// fetchBlockSpan fetches one whole block from its iod, installs it in the
-// cache, and — when dst is non-nil — copies [off, off+len(dst)) of the
-// installed (resident-wins patched) image into dst. Used for
-// read-modify-write and for stragglers whose fetch owner failed; both
-// need the block resident afterwards (the write path retries its merge
-// against it), so this path always admits — don't-cache and bypassed
-// files only reach it through read-modify-write, where admission is what
-// makes the merge converge. The fetched image lives in a pooled block
-// buffer for exactly the duration of the call.
-func (m *Module) fetchBlockSpan(iod int, key blockio.BlockKey, off int, dst []byte) error {
-	data, mem := m.getBlock()
-	defer mem.release()
-	must := m.cachePolicy(key.File) == pvfs.CacheMust
-	for {
-		// The stamp must be read before the iod does: any write applied
-		// after this point is detected at install time and retried.
-		stamp := m.buf.WriteStamp(key)
-		if err := m.readBlockInto(iod, key, data); err != nil {
-			return err
-		}
-		// Resident bytes outrank the fetch; a stale image (the block was
-		// written — and possibly flushed and evicted — mid-flight) is
-		// refused whole and re-read against the now-current store.
-		if m.buf.InstallFetchedAdmit(key, iod, data, must, stamp) != buffer.OutcomeStale {
-			break
-		}
-		m.cfg.Registry.Counter("module.fetch_stale_retries").Inc()
-	}
-	if dst != nil {
-		copy(dst, data[off:off+len(dst)])
-	}
-	m.cfg.Registry.Counter("module.sync_fetches").Inc()
-	return nil
-}
-
-// readBlockInto reads one whole block synchronously from its iod into dst
-// (a whole-block buffer), zero-filling past what the iod stores.
-func (m *Module) readBlockInto(iod int, key blockio.BlockKey, dst []byte) error {
-	bs := int64(m.buf.BlockSize())
-	res := m.data[iod].Call(&wire.Read{
-		Client: m.cfg.ClientID,
-		File:   key.File,
-		Offset: key.Index * bs,
-		Length: bs,
-		Track:  true,
-	})
-	if res.Err != nil {
-		return res.Err
-	}
-	defer res.Release()
-	rr, ok := res.Msg.(*wire.ReadResp)
-	if !ok {
-		return fmt.Errorf("cachemod: unexpected fetch reply %v", res.Msg.WireType())
-	}
-	if err := rr.Status.Err(); err != nil {
-		return err
-	}
-	n := copy(dst, rr.Data)
-	zeroFill(dst[n:]) // pooled buffers carry the previous tenant's bytes
-	return nil
-}
-
-// zeroFill clears p (the tail of a recycled buffer whose previous contents
-// must not masquerade as file data).
-func zeroFill(p []byte) { clear(p) }

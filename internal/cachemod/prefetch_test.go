@@ -72,18 +72,17 @@ func TestPrefetchPastStoredDataInstallsNothing(t *testing.T) {
 	}
 }
 
-// heldDataPort interposes on an iod data port: every request is forwarded
-// to target, except that a ReadBlocks whose first extent starts at or
-// past holdFrom is held until release is closed. arrived receives one
-// signal per held request.
-func heldDataPort(t *testing.T, net transport.Network, target string, holdFrom int64) (addr string, arrived <-chan struct{}, release func()) {
+// heldPort interposes on an iod port: every request is forwarded to
+// target, except that a request hold matches is held until release is
+// called. arrived receives one signal per held request.
+func heldPort(t *testing.T, net transport.Network, target string, hold func(wire.Message) bool) (addr string, arrived <-chan struct{}, release func()) {
 	t.Helper()
 	rc := rpc.NewClient(rpc.ClientConfig{Network: net, Addr: target})
 	held := make(chan struct{}, 16)
 	gate := make(chan struct{})
 	var once sync.Once
 	srv := rpc.NewServer(rpc.HandlerFunc(func(msg wire.Message) wire.Message {
-		if rb, ok := msg.(*wire.ReadBlocks); ok && len(rb.Exts) > 0 && rb.Exts[0].Offset >= holdFrom {
+		if hold(msg) {
 			held <- struct{}{}
 			<-gate
 		}
@@ -103,6 +102,19 @@ func heldDataPort(t *testing.T, net transport.Network, target string, holdFrom i
 	return l.Addr(), held, release
 }
 
+// readsFrom matches a read (plain or vectored) starting at or past off.
+func readsFrom(off int64) func(wire.Message) bool {
+	return func(msg wire.Message) bool {
+		switch r := msg.(type) {
+		case *wire.Read:
+			return r.Offset >= off
+		case *wire.ReadBlocks:
+			return len(r.Exts) > 0 && r.Exts[0].Offset >= off
+		}
+		return false
+	}
+}
+
 // TestPrefetchStaleInstallDropped: a block written while its prefetch is
 // in flight must not be installed from the prefetched image. The prefetch
 // is speculative, so it drops the block (module.prefetch_stale_drops)
@@ -112,7 +124,7 @@ func TestPrefetchStaleInstallDropped(t *testing.T) {
 	var arrived <-chan struct{}
 	var release func()
 	r := newRig(t, func(c *Config) {
-		c.IODDataAddrs[0], arrived, release = heldDataPort(t, c.Network, c.IODDataAddrs[0], raMinStreak*4096)
+		c.IODDataAddrs[0], arrived, release = heldPort(t, c.Network, c.IODDataAddrs[0], readsFrom(raMinStreak*4096))
 	})
 	r.seed(0, file, 0, bytes.Repeat([]byte{0x61}, 16*4096))
 

@@ -193,8 +193,8 @@ func (t *CachedTransport) Send(iod int, req wire.Message) (pvfs.ReqID, error) {
 // sink carries one destination slice per extent of the request (a single
 // slice for a plain Read), and the FSM scatters every byte — cache hits,
 // fetch joins, fetched runs — directly into them; the Recv response is
-// then status-only. It declines (ok=false, caller falls back to
-// Send/Recv) when the message is not a read or the sink does not tile the
+// then status-only. It declines (ok=false, which libpvfs reports as an
+// error) when the message is not a read or the sink does not tile the
 // request.
 func (t *CachedTransport) SendRead(iod int, req wire.Message, sink [][]byte) (pvfs.ReqID, bool, error) {
 	if iod < 0 || iod >= len(t.m.data) {
@@ -281,25 +281,11 @@ func (t *CachedTransport) classifySpan(iod int, sp blockio.Span, dst []byte, pr 
 		t.m.notePrefetchHit(sp.Key)
 		return owned
 	}
-	// The write stamp is snapshotted before the fetch is registered (and
-	// so before any iod or peer reads the block on our behalf): a write
-	// applied after this point — even one flushed and evicted before the
-	// fetch lands — moves the stamp and forces the install to re-read.
-	stamp := t.m.buf.WriteStamp(sp.Key)
-	t.m.fetchMu.Lock()
-	if st := t.m.fetches[sp.Key]; st != nil {
-		// Join: the data reference must be acquired while the entry is
-		// still in the table, so the owner (who removes it before dropping
-		// its own reference) can never drain the count under us.
-		st.refs.Add(1)
-		t.m.fetchMu.Unlock()
+	st, joined := t.m.claim(sp.Key, true)
+	if joined {
 		pr.waits = append(pr.waits, spanWait{key: sp.Key, off: sp.Off, dst: dst, st: st, iod: iod})
 		return owned
 	}
-	st := newFetchState(false)
-	st.stamp = stamp
-	t.m.fetches[sp.Key] = st
-	t.m.fetchMu.Unlock()
 	return append(owned, ownedSpan{sp: sp, dst: dst, st: st})
 }
 
@@ -327,9 +313,10 @@ func (t *CachedTransport) probeGlobalCache(iod int, owned []ownedSpan, pr *pendi
 		copy(data, block)
 		// Resident bytes outrank the peer copy; a stale install (the
 		// block was written here since the probe began) stays a miss and
-		// goes to the iod fetch, which revalidates against a fresh stamp.
+		// goes to the iod fetch, whose install is stale too, so the span
+		// is re-fetched against a fresh stamp once the request's fetches
+		// land.
 		if t.m.buf.InstallFetchedAdmit(o.sp.Key, iod, data, pr.admit == admitMust, o.st.stamp) != buffer.OutcomeStale {
-			o.st.finalStamp = o.st.stamp
 			copy(o.dst, data[o.sp.Off:o.sp.Off+o.sp.Len])
 			t.m.publishFetched(o.st, o.sp.Key, data, mem)
 			o.st.decref() // the owner's hold; joiners keep the block alive
@@ -454,62 +441,46 @@ func (t *CachedTransport) sendVectorRead(iod int, req *wire.ReadBlocks, sink [][
 
 // completeRead waits for the pending transfers, installs fetched blocks in
 // the cache, and assembles the response (status-only on the SendRead
-// path: the caller's buffers already hold every byte).
+// path: the caller's buffers already hold every byte). Spans that need a
+// fetch of their own — a demand block whose install went stale, a join
+// whose image is unusable — are re-fetched through fetchSpan once every
+// fetch this request owns has landed, and without joining: the process
+// may still hold unlanded claims of requests it sent after this one
+// (libpvfs receives an operation's requests in send order), and a join
+// of a fetch claimed since then could wait on a process that waits on
+// us. Joins made at classification are safe: they wait on claims older
+// than every claim the process still holds.
 func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	// The request stops being in flight when this returns, success or not:
 	// every fetch has landed or aborted and every join resolved, so the
 	// tenant's budget charge is returned on all paths.
 	defer pr.releaseBudget()
 	var firstErr error
+	var redo []spanWait
 	for _, f := range pr.fetches {
-		if err := t.m.landFetch(f, pr.admit); err != nil {
+		stale, err := t.m.landFetch(f, pr.admit)
+		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			pr.trace.hop("fetch iod=%d failed: %v", f.iod, err)
 			continue
 		}
+		redo = append(redo, stale...)
 		pr.trace.hop("fetch iod=%d landed (%d runs)", f.iod, len(f.runs))
 	}
 	for _, w := range pr.waits {
-		<-w.st.done
-		if w.st.err == nil && w.st.data != nil {
-			copy(w.dst, w.st.data[w.off:w.off+len(w.dst)])
-			// The published image carries resident bytes only as of the
-			// moment the fetch landed; this request may have joined after
-			// later writes were acked into the cache. Re-overlay the
-			// resident valid bytes so a write that completed before this
-			// read began is never answered with the pre-write snapshot.
-			t.m.buf.OverlaySpan(w.key, w.off, w.dst)
-			// The overlay only helps while the newer bytes are resident. If
-			// the block's write stamp moved past the published image's
-			// (written after the install — and possibly flushed and evicted
-			// since), fall back to a synchronous fetch, which revalidates
-			// against the stamp itself.
-			if t.m.buf.WriteStamp(w.key) != w.st.finalStamp {
-				t.m.cfg.Registry.Counter("module.join_stale_refetches").Inc()
-				if err := t.m.fetchBlockSpan(w.iod, w.key, w.off, w.dst); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			w.st.decref()
-			t.m.cfg.Registry.Counter("module.fetch_joins").Inc()
-			if w.st.prefetch {
-				t.m.notePrefetchHit(w.key)
-			}
-			continue
-		}
-		w.st.decref()
-		// The owner's fetch failed (or a prefetch found no stored data):
-		// fall back to a synchronous fetch of our own.
-		if err := t.m.fetchBlockSpan(w.iod, w.key, w.off, w.dst); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+		if !t.m.resolveJoin(w) {
+			redo = append(redo, w)
 		}
 	}
 	if len(pr.waits) > 0 {
 		pr.trace.hop("resolved %d joins", len(pr.waits))
+	}
+	for _, w := range redo {
+		if err := t.m.fetchSpan(w.iod, w.key, w.off, w.dst, pr.admit, false); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	if firstErr != nil {
 		pr.trace.finish(fmt.Sprintf("error: %v", firstErr))
@@ -519,13 +490,51 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	return pr.response(wire.StatusOK), nil
 }
 
+// resolveJoin waits for a joined fetch and copies its published image
+// into the waiter's destination (nil: the waiter wants the block
+// resident, not its bytes). It drops the waiter's reference and reports
+// false when the image is unusable and the span must be fetched afresh:
+// the fetch failed or was dropped, or — for a waiter with a destination —
+// the block was written after the image was installed.
+func (m *Module) resolveJoin(w spanWait) bool {
+	<-w.st.done
+	defer w.st.decref()
+	if w.st.err != nil || w.st.data == nil {
+		return false
+	}
+	m.cfg.Registry.Counter("module.fetch_joins").Inc()
+	if w.st.prefetch {
+		m.notePrefetchHit(w.key)
+	}
+	if w.dst == nil {
+		return true
+	}
+	copy(w.dst, w.st.data[w.off:w.off+len(w.dst)])
+	// The published image carries resident bytes only as of the moment the
+	// fetch landed; this request may have joined after later writes were
+	// acked into the cache. Re-overlay the resident valid bytes so a write
+	// that completed before this read began is never answered with the
+	// pre-write snapshot. Where the resident bytes do not cover the whole
+	// span, the overlay only helps while the newer bytes are resident: if
+	// the block's write stamp moved past the published image's (written
+	// after the install — and possibly flushed and evicted since), the
+	// span is re-fetched against a fresh stamp.
+	if !m.buf.OverlaySpan(w.key, w.off, w.dst) && m.buf.WriteStamp(w.key) != w.st.stamp {
+		m.cfg.Registry.Counter("module.join_stale_refetches").Inc()
+		return false
+	}
+	return true
+}
+
 // --- miss engine ---
 //
 // Every iod read the module issues for the cache — a demand request's
-// owned misses and a readahead window alike — is grouped into runs
-// (runsOf), put on the wire (issueRuns), and landed block by block
-// (landFetch → fillRun). The claims' fetchState.prefetch flag selects the
-// speculative rules for readahead blocks inside fillRun.
+// owned misses, a readahead window, and fetchSpan's single blocks for
+// read-modify-write and re-fetches alike — is claimed in the fetch table
+// (claim), grouped into runs (runsOf), put on the wire (issueRuns), and
+// landed block by block (landFetch → fillRun). The claims'
+// fetchState.prefetch flag selects the speculative rules for readahead
+// blocks inside fillRun.
 
 // runsOf groups claimed blocks (ascending by block index) into runs of
 // consecutive indices: one extent each of a vectored fetch. A demand
@@ -634,14 +643,17 @@ func splitRuns(runs []fetchRun, maxBlocks int) []fetchRun {
 	return out
 }
 
-// landFetch waits for one fetch's response and fills its runs from it.
-// A failed or rejected response aborts every run that did not fill, so
-// each claimed state is settled exactly once either way.
-func (m *Module) landFetch(f fetch, admit admitMode) error {
+// landFetch waits for one fetch's response and fills its runs from it,
+// returning the request spans whose blocks went stale in flight (see
+// fillRun) for the caller to re-fetch once it holds no unlanded claim.
+// A failed or rejected response aborts every run, so each claimed state
+// is settled exactly once either way.
+func (m *Module) landFetch(f fetch, admit admitMode) ([]spanWait, error) {
 	res := <-f.ch
 	err := res.Err
+	var stale []spanWait
 	if err == nil {
-		err = m.fillFromResponse(f, res.Msg, admit)
+		stale, err = m.fillFromResponse(f, res.Msg, admit)
 		// The response payload has been copied into the run slabs (or
 		// rejected); its leased frame buffer is dead either way.
 		res.Release()
@@ -649,7 +661,7 @@ func (m *Module) landFetch(f fetch, admit admitMode) error {
 	if err != nil {
 		m.abortRuns(f.runs, err)
 	}
-	return err
+	return stale, err
 }
 
 // fillFromResponse installs a fetch's blocks from its ReadBlocksResp (one
@@ -657,18 +669,16 @@ func (m *Module) landFetch(f fetch, admit admitMode) error {
 // spans into their destinations. Validation runs over every run before
 // any run is filled, so a hostile response is rejected whole rather than
 // half-published.
-func (m *Module) fillFromResponse(f fetch, msg wire.Message, admit admitMode) error {
+func (m *Module) fillFromResponse(f fetch, msg wire.Message, admit admitMode) ([]spanWait, error) {
 	rr, ok := msg.(*wire.ReadBlocksResp)
 	if !ok {
-		return fmt.Errorf("cachemod: fetch failed: %v", msg.WireType())
+		return nil, fmt.Errorf("cachemod: fetch failed: %v", msg.WireType())
 	}
-	if rr.Status != wire.StatusOK {
-		if err := rr.Status.Err(); err != nil {
-			return err
-		}
+	if err := rr.Status.Err(); err != nil {
+		return nil, err
 	}
 	if len(rr.Lens) != len(f.runs) {
-		return fmt.Errorf("cachemod: vectored fetch returned %d extents, want %d", len(rr.Lens), len(f.runs))
+		return nil, fmt.Errorf("cachemod: vectored fetch returned %d extents, want %d", len(rr.Lens), len(f.runs))
 	}
 	bs := m.buf.BlockSize()
 	for i, run := range f.runs {
@@ -677,21 +687,18 @@ func (m *Module) fillFromResponse(f fetch, msg wire.Message, admit admitMode) er
 		// later run's bytes and poison the shared cache with misattributed
 		// data.
 		if int(rr.Lens[i]) > len(run.keys)*bs {
-			return fmt.Errorf("cachemod: vectored fetch extent %d overlong (%d > %d)",
+			return nil, fmt.Errorf("cachemod: vectored fetch extent %d overlong (%d > %d)",
 				i, int(rr.Lens[i]), len(run.keys)*bs)
 		}
 	}
+	var stale []spanWait
 	data := rr.Data
 	for i, run := range f.runs {
 		served := int(rr.Lens[i])
-		if err := m.fillRun(f.iod, run, data[:served], admit); err != nil {
-			// fillRun settled its own run's states; the caller's abortRuns
-			// sweep closes the runs that never filled.
-			return err
-		}
+		stale = m.fillRun(f.iod, run, data[:served], admit, stale)
 		data = data[served:]
 	}
-	return nil
+	return stale, nil
 }
 
 // fillRun slices one run's bytes into blocks, installs each block in the
@@ -706,21 +713,28 @@ func (m *Module) fillFromResponse(f fetch, msg wire.Message, admit admitMode) er
 // and the global-cache push — the slab serves the request and any
 // joiners, then returns to its pool.
 //
-// Prefetched blocks (fetchState.prefetch) are speculative and follow
-// three rules of their own: a block the iod served nothing for is dropped,
-// not zero-filled — a short answer can also mean the window ran outside
-// the data this iod holds, so a demand read decides; a stale install is
-// dropped (module.prefetch_stale_drops) rather than re-read; and a
-// published block gets a readahead mark instead of a global-cache push.
-// A dropped state closes with no data, so its joiners fall back to a
-// synchronous fetch of their own.
-func (m *Module) fillRun(iod int, run fetchRun, data []byte, admit admitMode) error {
+// The install presents the stamp snapshotted when the block was claimed:
+// the image is patched with any newer resident bytes before anyone sees
+// it, and if the block was written mid-flight — possibly flushed and
+// evicted, leaving nothing resident to patch from — the install is
+// refused (OutcomeStale). A stale image is never installed or published:
+// its state is dropped, so joiners fetch for themselves, and the run's
+// request spans on that block are appended to stale for the owner to
+// re-fetch (module.fetch_stale_retries; a prefetch block, which has no
+// spans, counts in module.prefetch_stale_drops).
+//
+// Prefetched blocks (fetchState.prefetch) are speculative and follow two
+// more rules: a block the iod served nothing for is dropped, not
+// zero-filled — a short answer can also mean the window ran outside the
+// data this iod holds, so a demand read decides — and a published block
+// gets a readahead mark instead of a global-cache push.
+func (m *Module) fillRun(iod int, run fetchRun, data []byte, admit admitMode, stale []spanWait) []spanWait {
 	bs := m.buf.BlockSize()
 	// One zero-padded slab for the whole run; the published per-block
 	// buffers are read-only slices of it.
 	slab, mem := m.getSlab(len(run.keys) * bs)
 	n := copy(slab, data)
-	zeroFill(slab[n:])
+	clear(slab[n:]) // a recycled slab holds its previous tenant's bytes
 	for i, key := range run.keys {
 		blockData := slab[i*bs : (i+1)*bs]
 		st := run.states[i]
@@ -728,48 +742,25 @@ func (m *Module) fillRun(iod int, run fetchRun, data []byte, admit admitMode) er
 			m.dropFetch(key, st)
 			continue
 		}
-		// The install (or, read-around, the resident patch) presents the
-		// stamp snapshotted when the fetch was issued: the image must be
-		// patched with any newer resident bytes before the destinations,
-		// the waiters, or the global cache see it, and if the block was
-		// written mid-flight — possibly flushed and evicted, leaving
-		// nothing resident to patch from — the image is refused whole
-		// (OutcomeStale) and re-read from the iod against a fresh stamp.
-		// The loop terminates when a re-read lands with no concurrent
-		// write to its block.
-		stamp := st.stamp
-		oc := m.installFetched(key, iod, blockData, admit, stamp)
-		for oc == buffer.OutcomeStale && !st.prefetch {
-			m.cfg.Registry.Counter("module.fetch_stale_retries").Inc()
-			stamp = m.buf.WriteStamp(key)
-			if err := m.readBlockInto(iod, key, blockData); err != nil {
-				// Settle this run: earlier states were published or
-				// dropped (their joiners and the done-channel protocol own
-				// them; drop only our hold), the rest abort with the
-				// error.
-				for j := 0; j < i; j++ {
-					run.states[j].decref()
-				}
-				m.abortRuns([]fetchRun{{keys: run.keys[i:], states: run.states[i:]}}, err)
-				mem.release()
-				return err
+		if m.installFetched(key, iod, blockData, admit, st.stamp) == buffer.OutcomeStale {
+			if st.prefetch {
+				m.cfg.Registry.Counter("module.prefetch_stale_drops").Inc()
+			} else {
+				m.cfg.Registry.Counter("module.fetch_stale_retries").Inc()
 			}
-			oc = m.installFetched(key, iod, blockData, admit, stamp)
-		}
-		if oc == buffer.OutcomeStale {
-			m.cfg.Registry.Counter("module.prefetch_stale_drops").Inc()
 			m.dropFetch(key, st)
 			continue
 		}
-		st.finalStamp = stamp
 		switch {
 		case st.prefetch:
 		case admit == admitNever:
 			m.buf.NoteBypass(key)
-		case m.gcNode != nil:
+		case m.gcNode != nil && len(run.spans) > 0:
 			// Feed the global cache: the block's home node gets a copy
 			// (made before Push returns, so the slab's lifetime is not
-			// extended by the asynchronous push).
+			// extended by the asynchronous push). A run with no request
+			// spans is a read-modify-write fill, whose block is about to
+			// be overwritten here: its pre-write image is not pushed.
 			m.gcNode.Push(key, iod, blockData)
 		}
 		m.publishFetched(st, key, blockData, mem)
@@ -781,8 +772,12 @@ func (m *Module) fillRun(iod int, run fetchRun, data []byte, admit admitMode) er
 		}
 	}
 	for _, ts := range run.spans {
-		lo := int(ts.sp.Key.Index-run.firstIdx)*bs + ts.sp.Off
-		copy(ts.dst, slab[lo:])
+		i := int(ts.sp.Key.Index - run.firstIdx)
+		if run.states[i].data == nil { // dropped stale: nothing published
+			stale = append(stale, spanWait{key: ts.sp.Key, off: ts.sp.Off, dst: ts.dst, iod: iod})
+			continue
+		}
+		copy(ts.dst, slab[i*bs+ts.sp.Off:])
 	}
 	// Drop the owner's hold on each state now that the spans are copied;
 	// joined waiters keep the slab alive until they have copied too.
@@ -790,7 +785,7 @@ func (m *Module) fillRun(iod int, run fetchRun, data []byte, admit admitMode) er
 		st.decref()
 	}
 	mem.release() // the creator's hold
-	return nil
+	return stale
 }
 
 // installFetched installs (or, read-around, only patches) one fetched
@@ -837,6 +832,64 @@ func (m *Module) abortFetches(fs []fetch, err error) {
 		// No drain needed: responses demultiplex by tag and the result
 		// channel is buffered, so an abandoned fetch cannot stall others.
 		m.abortRuns(f.runs, err)
+	}
+}
+
+// claim registers a fetch of key in the fetch table. When one is already
+// in flight (another process's miss or a prefetch) it takes a reference
+// on it for a join (joined true) — or, join false, returns a private
+// state outside the table, whose fetch no one joins. The write stamp is
+// snapshotted before the fetch is registered, and so before any iod or
+// peer reads the block on our behalf: a write applied after this point —
+// even one flushed and evicted before the fetch lands — moves the stamp
+// and makes the install stale.
+func (m *Module) claim(key blockio.BlockKey, join bool) (st *fetchState, joined bool) {
+	stamp := m.buf.WriteStamp(key)
+	m.fetchMu.Lock()
+	defer m.fetchMu.Unlock()
+	cur := m.fetches[key]
+	if cur != nil && join {
+		// The data reference must be acquired while the entry is still in
+		// the table, so the owner (who removes it before dropping its own
+		// reference) can never drain the count under us.
+		cur.refs.Add(1)
+		return cur, true
+	}
+	st = newFetchState(false)
+	st.stamp = stamp
+	if cur == nil {
+		m.fetches[key] = st
+	}
+	return st, false
+}
+
+// fetchSpan brings one block span in through the miss engine: it claims
+// the block and fetches it as a one-block run (issueRuns → landFetch →
+// fillRun) — or, with join set, joins a fetch already in flight for it —
+// until an image the block's stamp still vouches for has been copied into
+// dst. dst nil (read-modify-write) asks only for the fetch to land: the
+// caller retries its merge against the cache. It serves read-modify-write
+// (writeSpan, joining: a writer holds no claim) and the spans a request's
+// own fetch or join could not (completeRead, not joining).
+func (m *Module) fetchSpan(iod int, key blockio.BlockKey, off int, dst []byte, admit admitMode, join bool) error {
+	for {
+		st, joined := m.claim(key, join)
+		if joined {
+			if m.resolveJoin(spanWait{key: key, off: off, dst: dst, st: st}) {
+				return nil
+			}
+			continue
+		}
+		own := []ownedSpan{{sp: blockio.Span{Key: key, Off: off, Len: len(dst)}, dst: dst, st: st}}
+		fs, err := m.issueRuns(iod, key.File, admit != admitNever, runsOf(own))
+		if err != nil {
+			return err // issueRuns aborted the claim
+		}
+		m.cfg.Registry.Counter("module.sync_fetches").Inc()
+		stale, err := m.landFetch(fs[0], admit)
+		if err != nil || len(stale) == 0 {
+			return err
+		}
 	}
 }
 
@@ -907,17 +960,15 @@ func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadli
 		case buffer.OutcomeOK:
 			return nil
 		case buffer.OutcomeNeedFetch:
-			// Another process may already be fetching this block.
-			t.m.fetchMu.Lock()
-			st := t.m.fetches[sp.Key]
-			t.m.fetchMu.Unlock()
-			if st != nil {
-				// Wait for the in-flight fetch to land; no data reference
-				// is taken (the retry reads the cache, not st.data).
-				<-st.done
-				continue
+			// Fetch (or join the fetch of) the whole block, then retry the
+			// merge against the installed image. The fetch always admits,
+			// even for don't-cache and bypassed files: admission is what
+			// makes the merge converge.
+			admit := admitDefault
+			if t.m.cachePolicy(sp.Key.File) == pvfs.CacheMust {
+				admit = admitMust
 			}
-			if err := t.m.fetchBlockSpan(iod, sp.Key, 0, nil); err != nil {
+			if err := t.m.fetchSpan(iod, sp.Key, 0, nil, admit, true); err != nil {
 				// Cannot complete the merge: write this span through.
 				return t.writeThrough(iod, sp, src)
 			}
@@ -957,13 +1008,22 @@ func (t *CachedTransport) writeThrough(iod int, sp blockio.Span, src []byte) err
 // iod invalidates every other cache before acknowledging. The local cache
 // copy is updated as clean (the iod already holds these bytes when the ack
 // arrives).
+//
+// The write leaves only once no flush of a block it covers is in flight.
+// Such a frame carries a snapshot older than this write and travels on
+// the flush port: were the sync write to reach the iod first, the frame
+// would land after it, the iod would keep the older bytes, and FlushDone
+// would mark the block clean (a sync write does not re-dirty it). A flush
+// snapshotted after the cache update below carries the new bytes, so
+// overtaking is harmless from then on. The wait is bounded by WriteStall.
 func (t *CachedTransport) sendSyncWrite(iod int, req *wire.SyncWrite) (*pendingOp, error) {
 	bs := t.m.buf.BlockSize()
 	spans := blockio.Spans(req.File, req.Offset, int64(len(req.Data)), bs)
+	cached := spans
 	if t.m.cachePolicy(req.File) == pvfs.CacheNone {
-		spans = nil // write-around: the iod gets the data, the cache does not
+		cached = nil // write-around: the iod gets the data, the cache does not
 	}
-	for _, sp := range spans {
+	for _, sp := range cached {
 		src := req.Data[sp.Pos : sp.Pos+int64(sp.Len)]
 		switch t.m.buf.WriteSpan(sp.Key, iod, sp.Off, src, false) {
 		case buffer.OutcomeOK:
@@ -976,10 +1036,29 @@ func (t *CachedTransport) sendSyncWrite(iod int, req *wire.SyncWrite) (*pendingO
 			// Not cacheable right now; the server still gets the data.
 		}
 	}
+	t.m.awaitFlushes(spans)
 	ch, err := t.m.data[iod].Go(req)
 	if err != nil {
 		return nil, err
 	}
 	t.m.cfg.Registry.Counter("module.sync_writes").Inc()
 	return &pendingOp{call: ch}, nil
+}
+
+// awaitFlushes waits, for at most WriteStall, until no flush snapshot of
+// the spans' blocks is in flight. Every settled flush chunk broadcasts
+// signalSpace; the short poll covers a broadcast that lands between a
+// check and the wait.
+func (m *Module) awaitFlushes(spans []blockio.Span) {
+	deadline := time.Now().Add(m.cfg.WriteStall)
+	for _, sp := range spans {
+		for m.buf.Flushing(sp.Key) && time.Now().Before(deadline) {
+			select {
+			case <-m.stop:
+				return
+			default:
+			}
+			m.waitForSpace(time.Now().Add(5 * time.Millisecond))
+		}
+	}
 }

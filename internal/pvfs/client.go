@@ -358,10 +358,10 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 	type sentGroup struct {
 		pieces []Piece
 		id     ReqID
-		sunk   bool // response scatters straight into p (zero-copy path)
 	}
-	sinker, canSink := f.client.data.(ReadSinker)
 	var sent []sentGroup
+	var firstErr error
+send:
 	for _, iod := range order {
 		for _, grp := range splitVectorGroup(groups[iod]) {
 			var req wire.Message
@@ -379,41 +379,34 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 				}
 				req = &wire.ReadBlocks{Client: f.client.cfg.ClientID, File: f.id, Exts: exts}
 			}
-			if canSink {
-				// Zero-copy: hand the transport the destination regions of
-				// the caller's buffer so response bytes land there directly,
-				// with no intermediate result buffer or response payload.
-				sink := make([][]byte, len(grp))
-				for j, pc := range grp {
-					sink[j] = p[pc.Pos : pc.Pos+pc.Ext.Length]
-				}
-				id, ok, err := sinker.SendRead(iod, req, sink)
-				if err != nil {
-					return 0, err
-				}
-				if ok {
-					sent = append(sent, sentGroup{pieces: grp, id: id, sunk: true})
-					continue
-				}
-				// Declined (e.g. zero-copy disabled): fall back to copying.
+			// Zero-copy: hand the transport the destination regions of the
+			// caller's buffer so response bytes land there directly, with
+			// no intermediate result buffer or response payload.
+			sink := make([][]byte, len(grp))
+			for j, pc := range grp {
+				sink[j] = p[pc.Pos : pc.Pos+pc.Ext.Length]
 			}
-			id, err := f.client.data.Send(iod, req)
+			id, ok, err := f.client.data.SendRead(iod, req, sink)
+			if err == nil && !ok {
+				err = fmt.Errorf("pvfs: transport declined a %v to iod %d", req.WireType(), iod)
+			}
 			if err != nil {
-				return 0, err
+				firstErr = err
+				break send
 			}
 			sent = append(sent, sentGroup{pieces: grp, id: id})
 		}
 	}
+	// Receive every request that went out, even after a failure: a caching
+	// transport lands a request's fetches only when it is received, and
+	// other processes may be waiting on them.
 	for _, sg := range sent {
-		if sg.sunk {
-			if err := f.recvSunkRead(sg.pieces, sg.id); err != nil {
-				return 0, err
-			}
-			continue
+		if err := f.recvSunkRead(sg.pieces, sg.id); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		if err := f.recvReadGroup(p, sg.pieces, sg.id); err != nil {
-			return 0, err
-		}
+	}
+	if firstErr != nil {
+		return 0, firstErr
 	}
 	if want < int64(len(p)) {
 		return int(want), io.EOF
@@ -478,75 +471,27 @@ func splitVectorGroup(grp []Piece) [][]Piece {
 	return out
 }
 
-// recvSunkRead completes one iod's zero-copy read request: the transport
-// has already scattered every byte into the caller's buffer (data then
-// zeros), so only the status remains to be checked.
+// recvSunkRead completes one iod's read request: the transport has
+// already scattered every byte into the caller's buffer (data then zeros),
+// so only the status remains to be checked.
 func (f *File) recvSunkRead(grp []Piece, id ReqID) error {
 	resp, err := f.client.data.Recv(id)
 	if err != nil {
 		return err
 	}
+	var status wire.Status
 	switch rr := resp.(type) {
 	case *wire.ReadResp:
-		if err := rr.Status.Err(); err != nil {
-			return fmt.Errorf("pvfs: read %q @%d: %w", f.name, grp[0].Ext.Offset, err)
-		}
-		return nil
+		status = rr.Status
 	case *wire.ReadBlocksResp:
-		if err := rr.Status.Err(); err != nil {
-			return fmt.Errorf("pvfs: read %q: %w", f.name, err)
-		}
-		return nil
+		status = rr.Status
 	default:
 		return fmt.Errorf("pvfs: unexpected read reply %v", resp.WireType())
 	}
-}
-
-// recvReadGroup completes one iod's read request and scatters the served
-// bytes to the pieces' positions in the caller's buffer. Sparse or short
-// strip data reads as zero.
-func (f *File) recvReadGroup(p []byte, grp []Piece, id ReqID) error {
-	resp, err := f.client.data.Recv(id)
-	if err != nil {
-		return err
+	if err := status.Err(); err != nil {
+		return fmt.Errorf("pvfs: read %q @%d: %w", f.name, grp[0].Ext.Offset, err)
 	}
-	fill := func(pc Piece, data []byte) {
-		dst := p[pc.Pos : pc.Pos+pc.Ext.Length]
-		n := copy(dst, data)
-		for j := n; j < len(dst); j++ {
-			dst[j] = 0
-		}
-	}
-	switch rr := resp.(type) {
-	case *wire.ReadResp:
-		if len(grp) != 1 {
-			return fmt.Errorf("pvfs: single read reply for %d pieces", len(grp))
-		}
-		if err := rr.Status.Err(); err != nil {
-			return fmt.Errorf("pvfs: read %q @%d: %w", f.name, grp[0].Ext.Offset, err)
-		}
-		fill(grp[0], rr.Data)
-		return nil
-	case *wire.ReadBlocksResp:
-		if err := rr.Status.Err(); err != nil {
-			return fmt.Errorf("pvfs: read %q: %w", f.name, err)
-		}
-		if len(rr.Lens) != len(grp) {
-			return fmt.Errorf("pvfs: vectored read reply has %d extents, want %d", len(rr.Lens), len(grp))
-		}
-		data := rr.Data
-		for j, pc := range grp {
-			served := int64(rr.Lens[j])
-			if served > pc.Ext.Length || served > int64(len(data)) {
-				return fmt.Errorf("pvfs: vectored read extent %d overlong (%d > %d)", j, served, pc.Ext.Length)
-			}
-			fill(pc, data[:served])
-			data = data[served:]
-		}
-		return nil
-	default:
-		return fmt.Errorf("pvfs: unexpected read reply %v", resp.WireType())
-	}
+	return nil
 }
 
 // WriteAt stores p at off using the default (no-coherence) write path and

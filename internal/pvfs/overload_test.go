@@ -31,6 +31,11 @@ func (t *shedTransport) Send(iod int, req wire.Message) (ReqID, error) {
 	return id, nil
 }
 
+func (t *shedTransport) SendRead(iod int, req wire.Message, _ [][]byte) (ReqID, bool, error) {
+	id, err := t.Send(iod, req)
+	return id, true, err
+}
+
 func (t *shedTransport) Recv(id ReqID) (wire.Message, error) {
 	req, ok := t.reqs[id]
 	if !ok {
@@ -42,12 +47,11 @@ func (t *shedTransport) Recv(id ReqID) (wire.Message, error) {
 		t.shed--
 		status = wire.StatusOverload
 	}
-	switch r := req.(type) {
+	switch req.(type) {
 	case *wire.Write:
 		return &wire.WriteAck{Status: status}, nil
 	case *wire.Read:
-		data := make([]byte, r.Length)
-		return &wire.ReadResp{Status: status, Data: data}, nil
+		return &wire.ReadResp{Status: status}, nil // status-only: SendRead
 	default:
 		return nil, errors.New("unexpected request type")
 	}
@@ -141,8 +145,52 @@ func (t *ioErrTransport) Send(iod int, req wire.Message) (ReqID, error) {
 	return 1, nil
 }
 
+func (t *ioErrTransport) SendRead(iod int, req wire.Message, _ [][]byte) (ReqID, bool, error) {
+	id, err := t.Send(iod, req)
+	return id, true, err
+}
+
 func (t *ioErrTransport) Recv(id ReqID) (wire.Message, error) {
 	return &wire.WriteAck{Status: wire.StatusIOError}, nil
 }
 
 func (t *ioErrTransport) Close() error { return nil }
+
+// recvAllTransport accepts the first read and fails every later send,
+// counting the requests received.
+type recvAllTransport struct{ sends, recvs int }
+
+func (t *recvAllTransport) Send(int, wire.Message) (ReqID, error) {
+	return 0, errors.New("unexpected Send")
+}
+
+func (t *recvAllTransport) SendRead(int, wire.Message, [][]byte) (ReqID, bool, error) {
+	t.sends++
+	if t.sends > 1 {
+		return 0, false, errors.New("link down")
+	}
+	return 1, true, nil
+}
+
+func (t *recvAllTransport) Recv(ReqID) (wire.Message, error) {
+	t.recvs++
+	return &wire.ReadResp{Status: wire.StatusOK}, nil
+}
+
+func (t *recvAllTransport) Close() error { return nil }
+
+// A read whose second per-iod request fails to send must still receive
+// the first: a caching transport lands a request's fetches only when it
+// is received, and other processes may be waiting on them.
+func TestReadReceivesSentRequestsAfterSendError(t *testing.T) {
+	tr := &recvAllTransport{}
+	c, f := testClientFile(tr, -1)
+	c.cfg.IODAddrs = []string{"iod0", "iod1"}
+	f.meta.PCount = 2 // 64 KiB strips: a 128 KiB read is one request per iod
+	if _, err := f.ReadAt(make([]byte, 128<<10), 0); err == nil {
+		t.Fatal("read succeeded although a request failed to send")
+	}
+	if tr.sends != 2 || tr.recvs != 1 {
+		t.Fatalf("sends = %d, recvs = %d; want the sent request received", tr.sends, tr.recvs)
+	}
+}

@@ -20,11 +20,15 @@ type ReqID uint64
 // library and the network, just as the kernel module interposes on socket
 // calls; DirectTransport is the uncached original-PVFS path.
 //
-// Requests may be Recv'd in any order: responses demultiplex by request
-// tag (internal/rpc), so a slow iod no longer blocks unrelated requests.
-// A Transport is intended for a single client process; the cache module's
-// shared state behind it is internally synchronized.
+// Every read travels through SendRead (ReadSinker), which scatters the
+// response bytes straight into the caller's buffer; Send carries writes
+// and everything else. Requests may be Recv'd in any order: responses
+// demultiplex by request tag (internal/rpc), so a slow iod no longer
+// blocks unrelated requests. A Transport is intended for a single client
+// process; the cache module's shared state behind it is internally
+// synchronized.
 type Transport interface {
+	ReadSinker
 	Send(iod int, req wire.Message) (ReqID, error)
 	Recv(id ReqID) (wire.Message, error)
 	Close() error
@@ -104,16 +108,17 @@ type TenantHinter interface {
 	TenantHint(file blockio.FileID, tenant uint32, weight int)
 }
 
-// ReadSinker is an optional Transport extension: the zero-copy read path.
-// SendRead issues a read request (a *wire.Read or *wire.ReadBlocks) whose
-// response bytes the transport scatters directly into sink — one
-// caller-owned destination slice per extent of the request, lengths
-// matching — instead of materializing them in a response message. On a
-// successful Recv every sink byte has been filled: served data first, the
-// remainder zeroed (PVFS sparse semantics), and the response message is
-// status-only. The transport may decline a request (ok false, no request
-// issued) — zero-copy disabled, unsupported message, mismatched sink —
-// and the caller then falls back to the plain Send/Recv path.
+// ReadSinker is the read half of every Transport: the zero-copy read
+// path, and libpvfs's only one. SendRead issues a read request (a
+// *wire.Read or *wire.ReadBlocks) whose response bytes the transport
+// scatters directly into sink — one caller-owned destination slice per
+// extent of the request, lengths matching — instead of materializing them
+// in a response message. On a successful Recv every sink byte has been
+// filled: served data first, the remainder zeroed (PVFS sparse
+// semantics), and the response message is status-only. A transport
+// declines (ok false, no request issued) only a message that is not a
+// read or a sink that does not tile the request; libpvfs treats a decline
+// as an error.
 type ReadSinker interface {
 	SendRead(iod int, req wire.Message, sink [][]byte) (id ReqID, ok bool, err error)
 }

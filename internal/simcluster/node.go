@@ -1,7 +1,6 @@
 package simcluster
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -195,21 +194,15 @@ func (n *Node) flusherDaemon(p *sim.Proc) {
 }
 
 // simFlushChunkBlocks bounds the blocks per simulated flush message,
-// mirroring the live engine's FlushBatch-sized frames so FlushWindow has
-// message granularity to overlap even when one file holds all the dirty
-// data.
+// mirroring the live engine's FlushBatch-sized frames.
 const simFlushChunkBlocks = 64
 
-// flushOnce drains the entire dirty list in deterministic order. With
-// Params.FlushStreams and Params.FlushWindow at their calibration
-// default (1), each (iod, file) chunk drains as one serial message —
-// the pre-pipeline model the figures assume. Larger values model the
-// live system's pipelined write-behind engine in virtual time: up to
-// FlushStreams iods drain concurrently, each with up to FlushWindow
-// messages in flight, overlapping the per-message wire and daemon
-// service times exactly as the live streams overlap real round trips.
+// flushOnce drains the entire dirty list in deterministic order, one
+// blocking message at a time: each (iod, file) group, sorted, leaves in
+// chunks of at most simFlushChunkBlocks blocks — the serial drain the
+// paper's figures were calibrated against. (The live engine's pipelined
+// streams are measured by its own benchmarks, not modelled here.)
 func (n *Node) flushOnce(p *sim.Proc) {
-	c := n.c
 	items := n.Cache.TakeDirty(0)
 	if len(items) == 0 {
 		return
@@ -229,74 +222,13 @@ func (n *Node) flushOnce(p *sim.Proc) {
 		}
 		return keys[i][1] < keys[j][1]
 	})
-	// Chunk each (iod, file) group and collect the chunks per iod, in
-	// deterministic order.
-	perIOD := make(map[int][]flushGroup)
-	var iods []int
 	for _, k := range keys {
-		owner := int(k[0])
 		group := byKey[k]
-		if _, seen := perIOD[owner]; !seen {
-			iods = append(iods, owner)
-		}
 		for len(group) > 0 {
 			nn := min(simFlushChunkBlocks, len(group))
-			perIOD[owner] = append(perIOD[owner], flushGroup{
-				owner: owner, file: blockio.FileID(k[1]), items: group[:nn],
-			})
+			n.sendFlushGroup(p, flushGroup{owner: int(k[0]), file: blockio.FileID(k[1]), items: group[:nn]})
 			group = group[nn:]
 		}
-	}
-	streams := max(c.P.FlushStreams, 1)
-	window := max(c.P.FlushWindow, 1)
-	if streams == 1 && window == 1 {
-		// Seed shape: one blocking message at a time, serially across iods.
-		for _, owner := range iods {
-			for _, g := range perIOD[owner] {
-				n.sendFlushGroup(p, g)
-			}
-		}
-		return
-	}
-	streamRes := c.Env.NewResource(fmt.Sprintf("node%d.flushstreams", n.id), streams)
-	done := c.Env.NewSignal()
-	left := len(iods)
-	for _, owner := range iods {
-		gs := perIOD[owner]
-		c.Env.Go(fmt.Sprintf("node%d.flushstream%d", n.id, owner), func(sp *sim.Proc) {
-			streamRes.Acquire(sp)
-			if window == 1 || len(gs) == 1 {
-				for _, g := range gs {
-					n.sendFlushGroup(sp, g)
-				}
-			} else {
-				winRes := c.Env.NewResource(fmt.Sprintf("node%d.flushwin%d", n.id, owner), window)
-				innerDone := c.Env.NewSignal()
-				innerLeft := len(gs)
-				for gi, g := range gs {
-					c.Env.Go(fmt.Sprintf("node%d.flushchunk%d.%d", n.id, owner, gi), func(cp *sim.Proc) {
-						winRes.Acquire(cp)
-						n.sendFlushGroup(cp, g)
-						winRes.Release(cp)
-						innerLeft--
-						if innerLeft == 0 {
-							innerDone.Fire()
-						}
-					})
-				}
-				if innerLeft > 0 {
-					innerDone.Wait(sp)
-				}
-			}
-			streamRes.Release(sp)
-			left--
-			if left == 0 {
-				done.Fire()
-			}
-		})
-	}
-	if left > 0 {
-		done.Wait(p)
 	}
 }
 

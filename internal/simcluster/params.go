@@ -89,16 +89,6 @@ type Params struct {
 	// polling granularity at which it also reacts to pressure kicks.
 	FlushPeriod time.Duration
 	FlushTick   time.Duration
-	// FlushStreams bounds how many iods' flush groups drain concurrently
-	// in one flusher round, and FlushWindow bounds the concurrent flush
-	// messages in flight per iod — the virtual-time model of the live
-	// system's pipelined write-behind engine. Both default to 1: the
-	// serial drain the paper's figures were calibrated against (and the
-	// live engine's seed-shape ablation). Raising them overlaps the
-	// per-message wire and daemon service times exactly as the live
-	// engine overlaps real round trips.
-	FlushStreams int
-	FlushWindow  int
 	// StripSize is the PVFS strip size files are created with.
 	StripSize uint32
 }
@@ -120,19 +110,17 @@ func DefaultParams() Params {
 		IODMemRate:         400e6,
 		IODPageCacheBlocks: 24576, // 96 MB
 
-		CacheBlocks:  300, // 1.2 MB of 4 KB blocks
-		CacheShards:  1,   // deterministic single-stripe policy state
-		LowWater:     30,
-		HighWater:    75,
-		Policy:       buffer.PolicyClock,
-		HitCopy:      100 * time.Microsecond,
-		MissCheck:    30 * time.Microsecond,
-		InsertCost:   20 * time.Microsecond,
-		ReqOverhead:  200 * time.Microsecond,
-		FlushPeriod:  time.Second,
-		FlushTick:    10 * time.Millisecond,
-		FlushStreams: 1, // serial drain: the calibration the figures assume
-		FlushWindow:  1,
+		CacheBlocks: 300, // 1.2 MB of 4 KB blocks
+		CacheShards: 1,   // deterministic single-stripe policy state
+		LowWater:    30,
+		HighWater:   75,
+		Policy:      buffer.PolicyClock,
+		HitCopy:     100 * time.Microsecond,
+		MissCheck:   30 * time.Microsecond,
+		InsertCost:  20 * time.Microsecond,
+		ReqOverhead: 200 * time.Microsecond,
+		FlushPeriod: time.Second,
+		FlushTick:   10 * time.Millisecond,
 
 		StripSize: 64 << 10,
 	}

@@ -264,44 +264,3 @@ func TestWarmVsColdFirstRead(t *testing.T) {
 		t.Errorf("disk penalty %v implausibly small", cold-warm)
 	}
 }
-
-// TestPipelinedFlushShortensDrain validates the write-behind pipeline
-// model: the same write workload must finish no later — and with a full
-// dirty cache across several iods, strictly earlier — when the flusher
-// drains with parallel streams and a message window than with the serial
-// calibration default. The serial configuration stays the deterministic
-// baseline the figures are regenerated with.
-func TestPipelinedFlushShortensDrain(t *testing.T) {
-	mb := microbench.Params{
-		Instances:   1,
-		Nodes:       1,
-		RequestSize: 256 << 10,
-		TotalBytes:  4 << 20,
-		Read:        false,
-		Seed:        1,
-	}
-	run := func(streams, window int) time.Duration {
-		env := sim.NewEnv()
-		p := DefaultParams()
-		p.FlushStreams = streams
-		p.FlushWindow = window
-		c := New(env, p, 4, 1, true)
-		res, err := Run(c, mb, SameNodes(1, 1))
-		if err != nil {
-			t.Fatalf("run(streams=%d, window=%d): %v", streams, window, err)
-		}
-		return res.MaxInstanceTime()
-	}
-	serial := run(1, 1)
-	piped := run(4, 4)
-	if piped > serial {
-		t.Fatalf("pipelined drain slower than serial: %v > %v", piped, serial)
-	}
-	if piped == serial {
-		t.Logf("warning: pipelined flush made no virtual-time difference (serial=%v)", serial)
-	}
-	// Determinism: the pipelined configuration must reproduce itself.
-	if again := run(4, 4); again != piped {
-		t.Fatalf("pipelined run not deterministic: %v vs %v", piped, again)
-	}
-}
